@@ -79,6 +79,91 @@ let write_out path content =
     output_string oc content;
     close_out oc
 
+let usage_error msg =
+  prerr_endline msg;
+  exit 2
+
+(* -- the deployment every run drives ------------------------------------
+
+   [run] and [chaos] build a [Secrep_shard.Deployment] for every
+   [--shards K >= 1]: K content items over one host pool, each shard a
+   stock single-content system (K = 1 is the paper's system).  Each
+   shard is driven by its own [Driver], fed by cross-shard arrivals. *)
+
+module Deployment = Secrep_shard.Deployment
+module Cross = Secrep_workload.Cross
+
+(* The JSONL trace and the per-shard health lines work at every K.
+   These outputs render one system's rings or one lineage, so they
+   exist at K = 1 only. *)
+let check_outputs ~shards ~trace_format ~metrics_out ~lineage_out =
+  if shards < 1 then usage_error "--shards must be at least 1";
+  if trace_format <> "jsonl" && trace_format <> "chrome" then
+    usage_error (Printf.sprintf "unknown trace format %S (expected jsonl or chrome)" trace_format);
+  if shards > 1 then
+    List.iter
+      (fun (given, flag) ->
+        if given then usage_error (Printf.sprintf "%s needs --shards 1" flag))
+      [
+        (trace_format = "chrome", "--trace-format chrome");
+        (metrics_out <> None, "--metrics-out");
+        (lineage_out <> None, "--lineage-out");
+      ]
+
+(* Cross-shard workload: Poisson arrivals over a Zipf of contents whose
+   hot shard rotates every quarter of the run (at K = 1 every arrival
+   lands on shard 0).  Each arrival is one [Driver.issue_read] on its
+   shard; writes come from client 0.  All draws happen here, up front,
+   so shard callbacks share no RNG state (the parallel scheduler's
+   determinism contract). *)
+let drive d ~seed ~read_rate ~write_rate ~duration =
+  let k = Deployment.n_shards d in
+  let g = Prng.create ~seed:(Int64.of_int (seed + 1)) in
+  let mixes =
+    Array.init k (fun i -> Mix.create ~rng:(Prng.split g) ~keys:(Deployment.keys d i) ())
+  in
+  let drivers =
+    Array.init k (fun i ->
+        Driver.create (Deployment.system d i) ~mix:mixes.(i) ~rng:(Prng.split g) ())
+  in
+  let cross =
+    Cross.create ~rng:(Prng.split g) ~n_shards:k
+      ~rotate_period:(Float.max 1.0 (duration /. 4.0))
+      ()
+  in
+  List.iter
+    (fun (at, shard) ->
+      Deployment.schedule d ~shard ~time:at (fun () -> Driver.issue_read drivers.(shard)))
+    (Cross.arrivals cross ~rate:read_rate ~duration);
+  if write_rate > 0.0 then begin
+    let wcross = Cross.create ~rng:(Prng.split g) ~n_shards:k () in
+    List.iter
+      (fun (at, shard) ->
+        Deployment.schedule d ~shard ~time:at (fun () ->
+            Deployment.write d ~shard ~client:0 (Mix.next_write mixes.(shard))
+              ~on_done:ignore))
+      (Cross.arrivals wcross ~rate:write_rate ~duration)
+  end;
+  drivers
+
+(* [--trace-out]: the merged live stream as shard-tagged JSONL — every
+   shard event plus the deployment's placement events — or, at K = 1,
+   the chrome rendering of the shard's trace and span rings.  Returns
+   the writer to call after the run. *)
+let record_trace d ~trace_out ~trace_format =
+  match trace_out with
+  | None -> ignore
+  | Some path when trace_format = "chrome" ->
+    fun () ->
+      let sys = Deployment.system d 0 in
+      write_out path (Export.chrome_of ~spans:(System.spans sys) ~trace:(System.trace sys) ())
+  | Some path ->
+    let lines = ref [] in
+    Deployment.on_event d (fun ~shard r -> lines := Deployment.tagged_line ~shard r :: !lines);
+    fun () -> write_out path (String.concat "\n" (List.rev !lines) ^ "\n")
+
+let shard_list l = String.concat "; " (List.map string_of_int l)
+
 (* -- online monitoring (lineage + SLO) ---------------------------------- *)
 
 module Slo = Secrep_monitor.Slo
@@ -87,30 +172,42 @@ module Health = Secrep_monitor.Health
 
 type monitoring = { m_slo : Slo.t; m_lineage : Lineage.t }
 
-(* Subscribe both monitors through one [on_emit] callback so lineage
-   sees each event before the SLO engine can emit alerts about it. *)
-let attach_monitoring system ~config =
-  let slo = Slo.create ~trace:(System.trace system) ~config:(Slo.config config) () in
-  let lineage = Lineage.create () in
-  Trace.on_emit (System.trace system) (fun r ->
-      Lineage.observe lineage r;
-      Slo.observe slo r);
-  { m_slo = slo; m_lineage = lineage }
+(* One monitor per shard.  Both monitors subscribe through one [on_emit]
+   callback so lineage sees each event before the SLO engine can emit
+   alerts about it.  The SLO engine is finalized as the shard's last
+   event at [until], so end-of-run alerts (e.g. a never-accused liar)
+   reach the trace dump and the stream capture too. *)
+let start_monitoring d ~config ~until =
+  Array.init (Deployment.n_shards d) (fun i ->
+      let sys = Deployment.system d i in
+      let slo = Slo.create ~trace:(System.trace sys) ~config:(Slo.config config) () in
+      let lineage = Lineage.create () in
+      Trace.on_emit (System.trace sys) (fun r ->
+          Lineage.observe lineage r;
+          Slo.observe slo r);
+      Deployment.schedule d ~shard:i ~time:until (fun () -> Slo.finalize slo ~now:until);
+      { m_slo = slo; m_lineage = lineage })
 
-let finish_monitoring m system ~slo_out ~lineage_out ~print_report =
-  Slo.finalize m.m_slo ~now:(Secrep_sim.Sim.now (System.sim system));
-  let health =
-    Health.build ~trace:(System.trace system) ~spans:(System.spans system) ~slo:m.m_slo
-      ~lineage:m.m_lineage ()
+(* One health report per shard; [--slo-out] gets one
+   [{"shard":i,"health":...}] line each. *)
+let finish_monitoring d ms ~slo_out ~lineage_out ~print_report =
+  let lines =
+    Array.mapi
+      (fun i m ->
+        let sys = Deployment.system d i in
+        let health =
+          Health.build ~trace:(System.trace sys) ~spans:(System.spans sys) ~slo:m.m_slo
+            ~lineage:m.m_lineage ()
+        in
+        if print_report then Format.printf "@.-- shard %d --@.%a" i Health.pp health;
+        Export.Json.to_string
+          (Export.Json.Obj [ ("shard", Export.Json.Int i); ("health", Health.to_json health) ]))
+      ms
   in
-  if print_report then Format.printf "@.%a" Health.pp health;
-  (match slo_out with
-  | None -> ()
-  | Some path -> write_out path (Export.Json.to_string (Health.to_json health) ^ "\n"));
-  (match lineage_out with
-  | None -> ()
-  | Some path -> write_out path (Lineage.jsonl m.m_lineage));
-  health
+  Option.iter
+    (fun path -> write_out path (String.concat "\n" (Array.to_list lines) ^ "\n"))
+    slo_out;
+  Option.iter (fun path -> write_out path (Lineage.jsonl ms.(0).m_lineage)) lineage_out
 
 let monitoring_args =
   let open Cmdliner in
@@ -121,7 +218,7 @@ let monitoring_args =
       & info [ "slo" ]
           ~doc:
             "Run the online SLO monitor over the live event stream: alerts are raised as \
-             typed trace events and an end-of-run health report is printed.")
+             typed trace events and an end-of-run health report is printed per shard.")
   in
   let slo_out =
     Arg.(
@@ -130,7 +227,8 @@ let monitoring_args =
       & info [ "slo-out" ] ~docv:"FILE"
           ~doc:
             "Write the machine-readable JSON health summary (alerts, lineage, \
-             diagnostics) to $(docv) ('-' = stdout).  Implies the monitor is on.")
+             diagnostics) to $(docv) ('-' = stdout), one {\"shard\":i,\"health\":...} \
+             line per shard.  Implies the monitor is on.")
   in
   let lineage_out =
     Arg.(
@@ -139,7 +237,7 @@ let monitoring_args =
       & info [ "lineage-out" ] ~docv:"FILE"
           ~doc:
             "Write per-request causal lineage records (one JSON object per read) to \
-             $(docv) ('-' = stdout).  Implies the monitor is on.")
+             $(docv) ('-' = stdout).  Implies the monitor is on.  Needs --shards 1.")
   in
   let trace_capacity =
     Arg.(
@@ -147,330 +245,167 @@ let monitoring_args =
       & opt (some int) None
       & info [ "trace-capacity" ] ~docv:"N"
           ~doc:
-            "Event-trace ring capacity (default 4096).  The health report warns when the \
-             ring wrapped and dropped events.")
+            "Event-trace ring capacity of each shard (default 4096).  The health report \
+             warns when the ring wrapped and dropped events.")
   in
   let span_capacity =
     Arg.(
       value
       & opt (some int) None
-      & info [ "span-capacity" ] ~docv:"N" ~doc:"Span ring capacity (default 4096).")
+      & info [ "span-capacity" ] ~docv:"N"
+          ~doc:"Span ring capacity of each shard (default 4096).")
   in
   (slo, slo_out, lineage_out, trace_capacity, span_capacity)
 
-let run_simulation ~masters ~slaves_per_master ~clients ~items ~duration ~read_rate
-    ~write_rate ~double_check_p ~max_latency ~keepalive ~audit ~pledge_batch
-    ~pledge_batch_window ~audit_dedup ~read_nonces ~audit_adaptive ~malicious ~lie_prob
-    ~lie_mode ~lie_from ~seed ~csv ~trace_out ~trace_format ~metrics_out ~slo ~slo_out
-    ~lineage_out ~trace_capacity ~span_capacity =
-  (* Reject a bad format before spending time on the simulation. *)
-  if trace_format <> "jsonl" && trace_format <> "chrome" then begin
-    Printf.eprintf "unknown trace format %S (expected jsonl or chrome)\n" trace_format;
-    exit 2
-  end;
-  let config =
-    Config.validate_exn
-      {
-        Config.default with
-        Config.max_latency;
-        keepalive_period = keepalive;
-        double_check_probability = double_check_p;
-        audit_enabled = audit;
-        pledge_batch_size = pledge_batch;
-        pledge_batch_window;
-        audit_dedup;
-        read_nonces;
-        audit_adaptive;
-      }
+(* -- run ---------------------------------------------------------------- *)
+
+let run_simulation ~shards ~domains ~masters ~replication_factor ~clients ~items ~duration
+    ~read_rate ~write_rate ~config ~malicious ~lie_prob ~lie_mode ~lie_from ~seed ~csv
+    ~trace_out ~trace_format ~metrics_out ~slo ~slo_out ~lineage_out ~trace_capacity
+    ~span_capacity =
+  (* Reject bad flags before spending time on the simulation. *)
+  check_outputs ~shards ~trace_format ~metrics_out ~lineage_out;
+  let attack =
+    Option.map
+      (fun slave ->
+        match lie_mode_of_string lie_mode with
+        | Ok mode -> (slave, mode)
+        | Error msg -> usage_error msg)
+      malicious
   in
-  let system =
-    System.create ~n_masters:masters ~slaves_per_master ~n_clients:clients ~config
-      ~seed:(Int64.of_int seed) ?trace_capacity ?span_capacity ()
+  let d =
+    Deployment.create ~n_shards:shards ~n_masters:masters ~replication_factor
+      ~n_clients:clients ~config ~seed:(Int64.of_int seed) ~items_per_shard:items ~domains
+      ?trace_capacity ?span_capacity ()
   in
-  let monitoring =
+  (* The attack targets shard [slave mod K], with [slave] as the local
+     replica index. *)
+  Option.iter
+    (fun (slave, mode) ->
+      if slave < 0 || slave >= Deployment.replication d then
+        usage_error
+          (Printf.sprintf "slave %d out of range (0..%d)" slave (Deployment.replication d - 1));
+      System.set_slave_behavior
+        (Deployment.system d (slave mod shards))
+        ~slave
+        (Fault.Malicious { probability = lie_prob; mode; from_time = lie_from }))
+    attack;
+  let max_latency = config.Config.max_latency in
+  let horizon = duration +. (4.0 *. max_latency) +. 60.0 in
+  let monitors =
     if slo || slo_out <> None || lineage_out <> None then
-      Some (attach_monitoring system ~config)
+      Some (start_monitoring d ~config ~until:horizon)
     else None
   in
-  let g = Prng.create ~seed:(Int64.of_int (seed + 1)) in
-  let content = Catalog.product_catalog g ~n:items in
-  System.load_content system content;
-  (match (malicious, lie_mode_of_string lie_mode) with
-  | Some slave, Ok mode ->
-    if slave < 0 || slave >= System.n_slaves system then begin
-      Printf.eprintf "slave %d out of range (0..%d)\n" slave (System.n_slaves system - 1);
-      exit 2
-    end;
-    System.set_slave_behavior system ~slave
-      (Fault.Malicious { probability = lie_prob; mode; from_time = lie_from })
-  | Some _, Error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 2
-  | None, _ -> ());
-  let keys = Array.of_list (List.map fst content) in
-  let mix = Mix.create ~rng:(Prng.split g) ~keys () in
-  let driver = Driver.create system ~mix ~rng:(Prng.split g) () in
-  Driver.run_reads driver ~rate:read_rate ~duration;
-  if write_rate > 0.0 then Driver.run_writes driver ~rate:write_rate ~duration ~writer:0;
-  System.run_for system (duration +. (4.0 *. max_latency) +. 60.0);
-  let s = Driver.summary driver in
-  let stats = System.stats system in
-  let auditor = System.auditor system in
-  let excluded = Corrective.excluded (System.corrective system) in
+  let write_trace = record_trace d ~trace_out ~trace_format in
+  let drivers = drive d ~seed ~read_rate ~write_rate ~duration in
+  Deployment.run_until d horizon;
+  let shard_rows f =
+    Array.iteri (fun i driver -> f i (Deployment.system d i) (Driver.summary driver)) drivers
+  in
   if csv then begin
     Printf.printf
-      "reads_completed,reads_accepted,reads_gave_up,served_by_master,accepted_wrong,double_checks,mean_latency_ms,p99_latency_ms,audited,audit_backlog,caught,excluded\n";
-    Printf.printf "%d,%d,%d,%d,%d,%d,%.3f,%.3f,%d,%d,%d,%s\n" s.Driver.reads_completed
-      s.Driver.reads_accepted s.Driver.reads_gave_up s.Driver.served_by_master
-      s.Driver.accepted_wrong s.Driver.double_checks
-      (1000.0 *. s.Driver.mean_latency)
-      (1000.0 *. s.Driver.p99_latency)
-      (Auditor.audited auditor) (Auditor.backlog auditor) (Auditor.caught auditor)
-      (String.concat ";" (List.map string_of_int excluded))
+      "shard,reads_completed,reads_accepted,reads_gave_up,served_by_master,accepted_wrong,double_checks,mean_latency_ms,p99_latency_ms,audited,audit_backlog,caught,excluded\n";
+    shard_rows (fun i sys s ->
+        let auditor = System.auditor sys in
+        Printf.printf "%d,%d,%d,%d,%d,%d,%d,%.3f,%.3f,%d,%d,%d,%s\n" i s.Driver.reads_completed
+          s.Driver.reads_accepted s.Driver.reads_gave_up s.Driver.served_by_master
+          s.Driver.accepted_wrong s.Driver.double_checks
+          (1000.0 *. s.Driver.mean_latency)
+          (1000.0 *. s.Driver.p99_latency)
+          (Auditor.audited auditor) (Auditor.backlog auditor) (Auditor.caught auditor)
+          (String.concat ";"
+             (List.map string_of_int (Corrective.excluded (System.corrective sys)))))
   end
   else begin
+    let pledge_batch = config.Config.pledge_batch_size
+    and audit_dedup = config.Config.audit_dedup
+    and read_nonces = config.Config.read_nonces
+    and audit_adaptive = config.Config.audit_adaptive in
     Printf.printf "secure replication over untrusted hosts — simulation summary\n";
-    Printf.printf "  topology: %d masters, %d slaves, %d clients, %d documents\n" masters
-      (System.n_slaves system) clients items;
+    Printf.printf
+      "  topology: %d shard(s) over a pool of %d host(s); per shard %d masters, %d \
+       slaves, %d clients, %d documents\n"
+      shards (Deployment.pool_size d) masters (Deployment.replication d) clients items;
     Printf.printf "  protocol: max_latency=%.2gs keepalive=%.2gs p=%.3g audit=%b\n"
-      max_latency keepalive double_check_p audit;
+      max_latency config.Config.keepalive_period config.Config.double_check_probability
+      config.Config.audit_enabled;
     if pledge_batch > 1 || audit_dedup then
       Printf.printf "  batching: pledge_batch=%d window=%.2gs dedup=%b\n" pledge_batch
-        pledge_batch_window audit_dedup;
+        config.Config.pledge_batch_window audit_dedup;
     if read_nonces || audit_adaptive then
       Printf.printf "  hardening: read_nonces=%b audit_adaptive=%b\n" read_nonces
         audit_adaptive;
     (match malicious with
     | Some slave ->
-      Printf.printf "  attack: slave %d, mode %s, prob %.2g, from t=%.2gs\n" slave lie_mode
-        lie_prob lie_from
+      Printf.printf "  attack: slave %d of shard %d, mode %s, prob %.2g, from t=%.2gs\n" slave
+        (slave mod shards) lie_mode lie_prob lie_from
     | None -> Printf.printf "  attack: none\n");
-    Printf.printf "\n  reads completed  %d (accepted %d, by-master %d, gave up %d)\n"
-      s.Driver.reads_completed s.Driver.reads_accepted s.Driver.served_by_master
-      s.Driver.reads_gave_up;
-    Printf.printf "  read latency     mean %.1f ms, p99 %.1f ms\n"
-      (1000.0 *. s.Driver.mean_latency)
-      (1000.0 *. s.Driver.p99_latency);
-    Printf.printf "  writes           %d committed\n"
-      (Stats.get stats "system.writes_committed_acked");
-    Printf.printf "  double-checks    %d (throttled %d)\n" s.Driver.double_checks
-      (Stats.get stats "master.double_checks_throttled");
-    Printf.printf "  wrong accepts    %d\n" s.Driver.accepted_wrong;
-    Printf.printf "  audit            %d audited, backlog %d, caught %d\n"
-      (Auditor.audited auditor) (Auditor.backlog auditor) (Auditor.caught auditor);
-    if audit_dedup then
-      Printf.printf "  audit dedup      %d distinct re-execution(s), %d memo hit(s)\n"
-        (Auditor.distinct_reexecs auditor)
-        (Auditor.dedup_hits auditor);
-    if read_nonces then
-      Printf.printf "  replay defense   %d nonce rejection(s)\n"
-        (Stats.get stats "client.nonce_rejections");
-    if audit_adaptive then
-      Printf.printf "  quarantines      %d\n" (Stats.get stats "auditor.quarantines");
-    Printf.printf "  exclusions       [%s]\n"
-      (String.concat "; "
-         (List.map
-            (fun e ->
-              Printf.sprintf "slave %d at t=%.1fs (%s)" e.Corrective.slave_id
-                e.Corrective.time
-                (match e.Corrective.discovery with
-                | Corrective.Immediate -> "immediate"
-                | Corrective.Delayed -> "delayed"))
-            (Corrective.events (System.corrective system))))
+    shard_rows (fun i sys s ->
+        let stats = System.stats sys in
+        let auditor = System.auditor sys in
+        Printf.printf "\n  shard %d on hosts [%s]\n" i
+          (shard_list (Array.to_list (Deployment.hosts_of_shard d i)));
+        Printf.printf "    reads completed  %d (accepted %d, by-master %d, gave up %d)\n"
+          s.Driver.reads_completed s.Driver.reads_accepted s.Driver.served_by_master
+          s.Driver.reads_gave_up;
+        Printf.printf "    read latency     mean %.1f ms, p99 %.1f ms\n"
+          (1000.0 *. s.Driver.mean_latency)
+          (1000.0 *. s.Driver.p99_latency);
+        Printf.printf "    writes           %d committed\n"
+          (Stats.get stats "system.writes_committed_acked");
+        Printf.printf "    double-checks    %d (throttled %d)\n" s.Driver.double_checks
+          (Stats.get stats "master.double_checks_throttled");
+        Printf.printf "    wrong accepts    %d\n" s.Driver.accepted_wrong;
+        Printf.printf "    audit            %d audited, backlog %d, caught %d\n"
+          (Auditor.audited auditor) (Auditor.backlog auditor) (Auditor.caught auditor);
+        if audit_dedup then
+          Printf.printf "    audit dedup      %d distinct re-execution(s), %d memo hit(s)\n"
+            (Auditor.distinct_reexecs auditor)
+            (Auditor.dedup_hits auditor);
+        if read_nonces then
+          Printf.printf "    replay defense   %d nonce rejection(s)\n"
+            (Stats.get stats "client.nonce_rejections");
+        if audit_adaptive then
+          Printf.printf "    quarantines      %d\n" (Stats.get stats "auditor.quarantines");
+        Printf.printf "    exclusions       [%s]\n"
+          (String.concat "; "
+             (List.map
+                (fun e ->
+                  Printf.sprintf "slave %d at t=%.1fs (%s)" e.Corrective.slave_id
+                    e.Corrective.time
+                    (match e.Corrective.discovery with
+                    | Corrective.Immediate -> "immediate"
+                    | Corrective.Delayed -> "delayed"))
+                (Corrective.events (System.corrective sys)))))
   end;
-  (* Finalize the monitor before dumping the trace so end-of-run alerts
-     (e.g. a never-accused liar) appear in the dump too. *)
-  (match monitoring with
-  | None -> ()
-  | Some m ->
-    ignore (finish_monitoring m system ~slo_out ~lineage_out ~print_report:(not csv)));
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-    let rendered =
-      match trace_format with
-      | "jsonl" -> Export.jsonl_of_trace (System.trace system)
-      | _ ->
-        Export.chrome_of ~spans:(System.spans system) ~trace:(System.trace system) ()
-    in
-    write_out path rendered);
-  match metrics_out with
-  | None -> ()
-  | Some path -> write_out path (Export.prometheus_of_stats stats)
-
-(* -- sharded run --------------------------------------------------------
-
-   [--shards K] (K > 1) swaps the single system for a
-   [Secrep_shard.Deployment]: K content items over one host pool, a
-   cross-shard Zipf workload with a diurnal skew rotation, per-shard
-   SLO monitors and a shard-tagged JSONL trace. *)
-
-module Deployment = Secrep_shard.Deployment
-module Cross = Secrep_workload.Cross
-
-let run_sharded_simulation ~shards ~domains ~masters ~replication_factor ~clients ~items
-    ~duration ~read_rate ~write_rate ~double_check_p ~max_latency ~keepalive ~audit
-    ~malicious ~lie_prob ~lie_mode ~lie_from ~seed ~csv ~trace_out ~trace_format ~slo
-    ~slo_out =
-  if trace_format <> "jsonl" then begin
-    Printf.eprintf "only --trace-format jsonl is supported with --shards > 1\n";
-    exit 2
-  end;
-  let config =
-    Config.validate_exn
-      {
-        Config.default with
-        Config.max_latency;
-        keepalive_period = keepalive;
-        double_check_probability = double_check_p;
-        audit_enabled = audit;
-      }
-  in
-  let d =
-    Deployment.create ~n_shards:shards ~n_masters:masters ~replication_factor
-      ~n_clients:clients ~config ~seed:(Int64.of_int seed) ~items_per_shard:items ~domains
-      ()
-  in
-  let monitors =
-    if slo || slo_out <> None then
-      Some (Array.init shards (fun i -> attach_monitoring (Deployment.system d i) ~config))
-    else None
-  in
-  let tagged_rev = ref [] in
-  if trace_out <> None then
-    Deployment.on_event d (fun ~shard r ->
-        tagged_rev := Deployment.tagged_line ~shard r :: !tagged_rev);
-  (* the attack targets shard [slave mod K], same routing as the fuzz
-     harness, with [slave] as the local replica index *)
-  (match (malicious, lie_mode_of_string lie_mode) with
-  | Some slave, Ok mode ->
-    if slave < 0 || slave >= Deployment.replication d then begin
-      Printf.eprintf "slave %d out of range (0..%d)\n" slave (Deployment.replication d - 1);
-      exit 2
-    end;
-    System.set_slave_behavior
-      (Deployment.system d (slave mod shards))
-      ~slave
-      (Fault.Malicious { probability = lie_prob; mode; from_time = lie_from })
-  | Some _, Error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 2
-  | None, _ -> ());
-  (* cross-shard workload: Zipf over contents (rotating hot shard) x
-     Zipf over keys within each shard's own catalogue *)
-  let issued = Array.make shards 0 in
-  let accepted = Array.make shards 0 in
-  let by_master = Array.make shards 0 in
-  let gave_up = Array.make shards 0 in
-  let on_done shard (r : Secrep_core.Client.read_report) =
-    match r.Secrep_core.Client.outcome with
-    | `Accepted _ -> accepted.(shard) <- accepted.(shard) + 1
-    | `Served_by_master _ -> by_master.(shard) <- by_master.(shard) + 1
-    | `Gave_up -> gave_up.(shard) <- gave_up.(shard) + 1
-  in
-  let g = Prng.create ~seed:(Int64.of_int (seed + 1)) in
-  let mixes =
-    Array.init shards (fun i -> Mix.create ~rng:(Prng.split g) ~keys:(Deployment.keys d i) ())
-  in
-  let pick_client = Prng.split g in
-  let cross =
-    Cross.create ~rng:(Prng.split g) ~n_shards:shards
-      ~rotate_period:(Float.max 1.0 (duration /. 4.0))
-      ()
-  in
-  (* Client ids are presampled in arrival order: [arrivals] is
-     time-sorted, so this matches what callback-time draws produced
-     sequentially, and keeps shard callbacks free of shared RNG state
-     (required for the parallel scheduler's determinism contract). *)
-  List.iter
-    (fun (at, shard) ->
-      let client = Prng.int pick_client clients in
-      Deployment.schedule d ~shard ~time:at (fun () ->
-          issued.(shard) <- issued.(shard) + 1;
-          Deployment.read d ~shard ~client
-            (Mix.next_query mixes.(shard))
-            ~on_done:(on_done shard)))
-    (Cross.arrivals cross ~rate:read_rate ~duration);
-  if write_rate > 0.0 then begin
-    let wcross = Cross.create ~rng:(Prng.split g) ~n_shards:shards () in
-    List.iter
-      (fun (at, shard) ->
-        Deployment.schedule d ~shard ~time:at (fun () ->
-            Deployment.write d ~shard ~client:0
-              (Mix.next_write mixes.(shard))
-              ~on_done:(fun _ -> ())))
-      (Cross.arrivals wcross ~rate:write_rate ~duration)
-  end;
-  Deployment.run_until d (duration +. (4.0 *. max_latency) +. 60.0);
-  if csv then begin
-    Printf.printf
-      "shard,reads_issued,reads_accepted,served_by_master,reads_gave_up,audited,caught,excluded\n";
-    for i = 0 to shards - 1 do
-      let sys = Deployment.system d i in
-      let auditor = System.auditor sys in
-      Printf.printf "%d,%d,%d,%d,%d,%d,%d,%s\n" i issued.(i) accepted.(i) by_master.(i)
-        gave_up.(i) (Auditor.audited auditor) (Auditor.caught auditor)
-        (String.concat ";"
-           (List.map string_of_int (Corrective.excluded (System.corrective sys))))
-    done
-  end
-  else begin
-    Printf.printf "sharded deployment summary\n";
-    Printf.printf
-      "  content plane: %d shard(s), replication %d, pool of %d host(s), %d docs/shard\n"
-      shards (Deployment.replication d) (Deployment.pool_size d) items;
-    Printf.printf "  protocol: max_latency=%.2gs keepalive=%.2gs p=%.3g audit=%b\n"
-      max_latency keepalive double_check_p audit;
-    (match malicious with
-    | Some slave ->
-      Printf.printf "  attack: slave %d of shard %d, mode %s, prob %.2g, from t=%.2gs\n"
-        slave (slave mod shards) lie_mode lie_prob lie_from
-    | None -> Printf.printf "  attack: none\n");
-    for i = 0 to shards - 1 do
-      let sys = Deployment.system d i in
-      let auditor = System.auditor sys in
-      Printf.printf
-        "  shard %d: reads %d (accepted %d, by-master %d, gave up %d); audited %d, caught \
-         %d; excluded [%s]; hosts [%s]\n"
-        i issued.(i) accepted.(i) by_master.(i) gave_up.(i) (Auditor.audited auditor)
-        (Auditor.caught auditor)
-        (String.concat "; "
-           (List.map string_of_int (Corrective.excluded (System.corrective sys))))
-        (String.concat "; "
-           (List.map string_of_int (Array.to_list (Deployment.hosts_of_shard d i))))
-    done;
-    Printf.printf "  totals: %d reads issued, %d accepted, audit backlog %d\n"
-      (Array.fold_left ( + ) 0 issued)
-      (Array.fold_left ( + ) 0 accepted)
-      (Deployment.audit_backlog d)
-  end;
-  (match monitors with
-  | None -> ()
-  | Some ms ->
-    let lines = ref [] in
-    Array.iteri
-      (fun i m ->
-        let sys = Deployment.system d i in
-        Slo.finalize m.m_slo ~now:(Secrep_sim.Sim.now (System.sim sys));
-        let health =
-          Health.build ~trace:(System.trace sys) ~spans:(System.spans sys) ~slo:m.m_slo
-            ~lineage:m.m_lineage ()
-        in
-        if not csv then Format.printf "@.-- shard %d --@.%a" i Health.pp health;
-        lines :=
-          Export.Json.to_string
-            (Export.Json.Obj
-               [ ("shard", Export.Json.Int i); ("health", Health.to_json health) ])
-          :: !lines)
-      ms;
-    match slo_out with
-    | None -> ()
-    | Some path -> write_out path (String.concat "\n" (List.rev !lines) ^ "\n"));
-  match trace_out with
-  | None -> ()
-  | Some path -> write_out path (String.concat "\n" (List.rev !tagged_rev) ^ "\n")
+  Option.iter (finish_monitoring d ~slo_out ~lineage_out ~print_report:(not csv)) monitors;
+  write_trace ();
+  Option.iter
+    (fun path ->
+      write_out path (Export.prometheus_of_stats (System.stats (Deployment.system d 0))))
+    metrics_out
 
 open Cmdliner
+
+let shards_arg ~doc = Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K" ~doc)
+
+let domains_arg =
+  Arg.(
+    value
+    & opt int 0
+    & info [ "domains" ]
+        ~doc:
+          "Worker domains for the deployment.  0 or 1 runs the shards sequentially in \
+           lockstep; >1 advances them on a parallel domain pool (with more than one \
+           shard).  Both modes produce bit-identical event streams.")
+
+let replication_factor_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "replication-factor" ]
+        ~doc:"Replicas per content item (default: masters x slaves-per-master).")
 
 let run_cmd =
   let masters = Arg.(value & opt int 2 & info [ "masters" ] ~doc:"Number of master servers.") in
@@ -478,34 +413,11 @@ let run_cmd =
     Arg.(value & opt int 3 & info [ "slaves-per-master" ] ~doc:"Slaves per master.")
   in
   let shards =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "shards" ]
-          ~doc:
-            "Content items in the deployment.  1 runs the classic single-content system; \
-             >1 runs a sharded deployment over a shared host pool with per-shard \
-             auditors and a cross-shard Zipf workload.")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "domains" ]
-          ~doc:
-            "Worker domains for a sharded deployment (--shards > 1).  0 or 1 runs the \
-             shards sequentially in lockstep; >1 advances them on a parallel domain \
-             pool.  Both modes produce bit-identical event streams; ignored for \
-             single-system runs.")
-  in
-  let replication_factor =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "replication-factor" ]
-          ~doc:
-            "Replicas per content item (default: masters x slaves-per-master).  Only \
-             meaningful with --shards > 1.")
+    shards_arg
+      ~doc:
+        "Content items in the deployment, each with its own masters, replicas and auditor \
+         over a shared host pool; a cross-shard Zipf workload picks the item per read.  1 \
+         is the paper's single-content system."
   in
   let clients = Arg.(value & opt int 8 & info [ "clients" ] ~doc:"Number of clients.") in
   let items = Arg.(value & opt int 300 & info [ "items" ] ~doc:"Documents in the content.") in
@@ -560,7 +472,8 @@ let run_cmd =
     Arg.(
       value
       & opt (some int) None
-      & info [ "malicious" ] ~doc:"Make this slave id malicious.")
+      & info [ "malicious" ]
+          ~doc:"Make this slave id malicious (replica index of shard id mod --shards).")
   in
   let lie_prob =
     Arg.(value & opt float 1.0 & info [ "lie-prob" ] ~doc:"Probability the slave lies per read.")
@@ -608,7 +521,9 @@ let run_cmd =
              proof.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed.") in
-  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Machine-readable one-line output.") in
+  let csv =
+    Arg.(value & flag & info [ "csv" ] ~doc:"Machine-readable output, one line per shard.")
+  in
   let trace_out =
     Arg.(
       value
@@ -622,9 +537,10 @@ let run_cmd =
       & opt string "jsonl"
       & info [ "trace-format" ] ~docv:"FMT"
           ~doc:
-            "Trace dump format: $(b,jsonl) (one event per line, replayable with the \
-             $(b,trace) subcommand) or $(b,chrome) (trace_event JSON, loadable in \
-             Perfetto / chrome://tracing).")
+            "Trace dump format: $(b,jsonl) (the full shard-tagged event stream, one event \
+             per line, replayable with the $(b,trace) subcommand) or $(b,chrome) \
+             (trace_event JSON of the trace and span rings, loadable in Perfetto / \
+             chrome://tracing; needs --shards 1).")
   in
   let metrics_out =
     Arg.(
@@ -633,7 +549,7 @@ let run_cmd =
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:
             "Write counters, gauges and per-phase latency quantiles in Prometheus text \
-             format to $(docv) ('-' = stdout).")
+             format to $(docv) ('-' = stdout).  Needs --shards 1.")
   in
   let slo_flag, slo_out, lineage_out, trace_capacity, span_capacity = monitoring_args in
   let term =
@@ -649,32 +565,28 @@ let run_cmd =
           let malicious =
             match (adversary, malicious) with Some _, None -> Some 0 | _, m -> m
           in
-          if shards > 1 then begin
-            if read_nonces || audit_adaptive then
-              Printf.eprintf
-                "note: --read-nonces/--audit-adaptive apply to single-system runs only; \
-                 ignored with --shards > 1\n";
-            run_sharded_simulation ~shards ~domains ~masters
-              ~replication_factor:
-                (match replication_factor with
-                | Some r -> r
-                | None -> masters * slaves_per_master)
-              ~clients ~items ~duration ~read_rate ~write_rate ~double_check_p ~max_latency
-              ~keepalive ~audit ~malicious ~lie_prob ~lie_mode ~lie_from ~seed ~csv
-              ~trace_out ~trace_format ~slo ~slo_out
-          end
-          else
-            let slaves_per_master =
-              match replication_factor with
-              | Some r -> max 1 (r / max 1 masters)
-              | None -> slaves_per_master
-            in
-            run_simulation ~masters ~slaves_per_master ~clients ~items ~duration ~read_rate
-              ~write_rate ~double_check_p ~max_latency ~keepalive ~audit ~pledge_batch
-              ~pledge_batch_window ~audit_dedup ~read_nonces ~audit_adaptive ~malicious
-              ~lie_prob ~lie_mode ~lie_from ~seed ~csv ~trace_out ~trace_format
-              ~metrics_out ~slo ~slo_out ~lineage_out ~trace_capacity ~span_capacity)
-      $ masters $ slaves $ shards $ domains $ replication_factor $ clients $ items
+          let config =
+            Config.validate_exn
+              {
+                Config.default with
+                Config.max_latency;
+                keepalive_period = keepalive;
+                double_check_probability = double_check_p;
+                audit_enabled = audit;
+                pledge_batch_size = pledge_batch;
+                pledge_batch_window;
+                audit_dedup;
+                read_nonces;
+                audit_adaptive;
+              }
+          in
+          run_simulation ~shards ~domains ~masters
+            ~replication_factor:
+              (Option.value replication_factor ~default:(masters * slaves_per_master))
+            ~clients ~items ~duration ~read_rate ~write_rate ~config ~malicious ~lie_prob
+            ~lie_mode ~lie_from ~seed ~csv ~trace_out ~trace_format ~metrics_out ~slo
+            ~slo_out ~lineage_out ~trace_capacity ~span_capacity)
+      $ masters $ slaves $ shards $ domains_arg $ replication_factor_arg $ clients $ items
       $ duration
       $ read_rate $ write_rate $ p $ max_latency $ keepalive $ audit $ pledge_batch
       $ pledge_batch_window $ audit_dedup $ malicious $ lie_prob $ lie_mode $ adversary
@@ -694,24 +606,23 @@ module Invariant = Secrep_check.Invariant
 let run_fuzz ~seed ~runs ~max_shrink_steps ~invariants ~shards ~replication_factor
     ~counterexample_out =
   match Invariant.named invariants with
-  | Error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 2
+  | Error msg -> usage_error msg
   | Ok checkers ->
     let outcome =
-      Fuzz.run ~runs ~max_shrink_steps ~invariants:checkers ?shards
-        ?slaves_per_master:replication_factor ~seed:(Int64.of_int seed) ()
+      Fuzz.run ~runs ~max_shrink_steps
+        ?invariants:(if invariants = [] then None else Some checkers)
+        ?shards ?slaves_per_master:replication_factor ~seed:(Int64.of_int seed) ()
     in
     Format.printf "%a@." Fuzz.pp_outcome outcome;
     (match outcome with
     | Fuzz.Passed _ -> ()
-    | Fuzz.Failed f ->
+    | Fuzz.Failed { failure = f; replay } ->
       (match counterexample_out with
       | None -> ()
       | Some path ->
         write_out path
           (Format.asprintf "%a@.@.violation: %s@.replay: %s@." Secrep_check.Scenario.pp
-             f.Secrep_check.Prop.shrunk f.Secrep_check.Prop.shrunk_reason (Fuzz.replay_hint f)));
+             f.Secrep_check.Prop.shrunk f.Secrep_check.Prop.shrunk_reason replay));
       exit 1)
 
 let fuzz_cmd =
@@ -750,7 +661,7 @@ let fuzz_cmd =
       & info [ "shards" ]
           ~doc:
             "Pin every scenario's shard count to $(docv) (1-4) instead of drawing it.  \
-             Sharded scenarios run on a deployment with per-shard invariant checks."
+             Every invariant is checked per shard."
           ~docv:"K")
   in
   let replication_factor =
@@ -774,7 +685,7 @@ let fuzz_cmd =
        ~doc:
          "Run random scenarios against the simulator, check the paper's invariants on the \
           event stream, and shrink any violation to a minimal counterexample with a replay \
-          seed.")
+          command.")
     term
 
 (* -- chaos --------------------------------------------------------------- *)
@@ -784,212 +695,72 @@ module Injector = Secrep_chaos.Injector
 module Scenario = Secrep_check.Scenario
 module Harness = Secrep_check.Harness
 
+let chaos_default_invariants =
+  [ "availability"; "recovery-convergence"; "no-false-accusation"; "staleness";
+    "write-spacing"; "alert-coverage" ]
+
 let read_schedule_file path =
-  let ic =
-    try open_in path
-    with Sys_error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-  in
+  let ic = try open_in path with Sys_error msg -> usage_error msg in
   let n = in_channel_length ic in
   let text = really_input_string ic n in
   close_in ic;
   match Schedule.parse text with
   | Ok schedule -> schedule
-  | Error msg ->
-    Printf.eprintf "%s: %s\n" path msg;
-    exit 2
+  | Error msg -> usage_error (Printf.sprintf "%s: %s" path msg)
 
-let run_chaos ~masters ~slaves_per_master ~clients ~items ~duration ~read_rate ~write_rate
-    ~max_latency ~keepalive ~schedule_file ~intensity ~seed ~invariants ~trace_out
-    ~trace_format ~counterexample_out ~slo:slo_flag ~slo_out ~lineage_out ~trace_capacity
-    ~span_capacity =
-  if trace_format <> "jsonl" && trace_format <> "chrome" then begin
-    Printf.eprintf "unknown trace format %S (expected jsonl or chrome)\n" trace_format;
-    exit 2
-  end;
+(* A per-slave schedule is armed on every shard's own system, with
+   local slave/master/client ids.  Returns the timeline it describes. *)
+let inject_schedule d schedule =
+  for i = 0 to Deployment.n_shards d - 1 do
+    try Injector.apply (Deployment.system d i) schedule
+    with Invalid_argument msg -> usage_error msg
+  done;
+  List.map (fun e -> (e.Schedule.time, Schedule.describe e.Schedule.action)) schedule
+
+(* Seeded-random host windows over the shared pool: a crashed or cut
+   host takes down every co-located replica at once — the cross-shard
+   blast radius a per-slave schedule cannot express.  Every window
+   self-heals; a crashed host's replicas are re-homed after the
+   provisioning delay. *)
+let inject_host_windows d ~seed ~intensity ~duration =
+  let crng = Prng.create ~seed:(Int64.of_int (seed + 2)) in
+  let n_windows = max 1 (int_of_float (intensity *. duration /. 30.0)) in
+  let windows =
+    List.init n_windows (fun _ ->
+        let host = Prng.int crng (Deployment.pool_size d) in
+        let crash = Prng.bool crng in
+        let at = 5.0 +. (Prng.float crng *. Float.max 1.0 (duration -. 25.0)) in
+        let outage = 2.0 +. (Prng.float crng *. 13.0) in
+        (host, crash, at, at +. outage))
+  in
+  List.concat_map
+    (fun (host, crash, at, until) ->
+      if crash then begin
+        Deployment.crash_host d ~at host;
+        Deployment.recover_host d ~at:until host
+      end
+      else begin
+        Deployment.cut_host d ~at host;
+        Deployment.heal_host d ~at:until host
+      end;
+      let verbs = if crash then ("crash", "recover") else ("cut", "heal") in
+      [
+        (at, Printf.sprintf "%s host %d" (fst verbs) host);
+        (until, Printf.sprintf "%s host %d" (snd verbs) host);
+      ])
+    windows
+
+let run_chaos ~shards ~domains ~masters ~replication_factor ~clients ~items ~duration
+    ~read_rate ~write_rate ~max_latency ~keepalive ~schedule_file ~intensity ~seed
+    ~invariants ~trace_out ~trace_format ~counterexample_out ~slo ~slo_out ~lineage_out
+    ~trace_capacity ~span_capacity =
+  check_outputs ~shards ~trace_format ~metrics_out:None ~lineage_out;
   let checkers =
     match
-      Invariant.named
-        (if invariants = [] then
-           [ "availability"; "recovery-convergence"; "no-false-accusation"; "staleness";
-             "write-spacing"; "alert-coverage" ]
-         else invariants)
+      Invariant.named (if invariants = [] then chaos_default_invariants else invariants)
     with
     | Ok checkers -> checkers
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-  in
-  let config =
-    Config.validate_exn
-      {
-        Config.default with
-        Config.max_latency;
-        keepalive_period = keepalive;
-        double_check_probability = 0.05;
-      }
-  in
-  let system =
-    System.create ~n_masters:masters ~slaves_per_master ~n_clients:clients ~config
-      ~seed:(Int64.of_int seed) ?trace_capacity ?span_capacity ()
-  in
-  let monitoring =
-    if slo_flag || slo_out <> None || lineage_out <> None then
-      Some (attach_monitoring system ~config)
-    else None
-  in
-  (* Capture the live stream like the fuzz harness does: the trace ring
-     may overwrite old records on long runs, subscribers see everything. *)
-  let events_rev = ref [] in
-  Trace.on_emit (System.trace system) (fun r -> events_rev := r :: !events_rev);
-  let pledges_rev = ref [] in
-  System.on_pledge_submitted system (fun p -> pledges_rev := p :: !pledges_rev);
-  let g = Prng.create ~seed:(Int64.of_int (seed + 1)) in
-  let content = Catalog.product_catalog g ~n:items in
-  System.load_content system content;
-  let schedule =
-    match schedule_file with
-    | Some path -> read_schedule_file path
-    | None ->
-      Schedule.random
-        ~rng:(Prng.create ~seed:(Int64.of_int (seed + 2)))
-        ~duration ~n_slaves:(System.n_slaves system) ~n_masters:masters ~n_clients:clients
-        ~intensity ()
-  in
-  (try Injector.apply system schedule
-   with Invalid_argument msg ->
-     Printf.eprintf "%s\n" msg;
-     exit 2);
-  let keys = Array.of_list (List.map fst content) in
-  let mix = Mix.create ~rng:(Prng.split g) ~keys () in
-  let driver = Driver.create system ~mix ~rng:(Prng.split g) () in
-  Driver.run_reads driver ~rate:read_rate ~duration;
-  if write_rate > 0.0 then Driver.run_writes driver ~rate:write_rate ~duration ~writer:0;
-  (* Settle: every in-flight read must be able to exhaust its retry
-     ladder and degraded fallback, and the last recovery needs
-     max_latency to converge, before the invariants judge the trace. *)
-  let read_slack =
-    float_of_int (config.Config.read_retry_limit + 2)
-    *. ((config.Config.read_timeout_factor *. max_latency) +. config.Config.retry_backoff_cap)
-  in
-  let last_entry =
-    List.fold_left (fun acc e -> Float.max acc e.Schedule.time) 0.0 schedule
-  in
-  System.run_for system
-    (Float.max duration last_entry +. read_slack +. (6.0 *. max_latency) +. 60.0);
-  let stats = System.stats system in
-  let s = Driver.summary driver in
-  Printf.printf "chaos run: seed %d, %d scheduled action(s) over %.1fs\n" seed
-    (List.length schedule) duration;
-  List.iter
-    (fun e -> Printf.printf "    at %g %s\n" e.Schedule.time (Schedule.describe e.Schedule.action))
-    (Schedule.sort schedule);
-  Printf.printf "  applied %d action(s), skipped %d no-op(s)\n"
-    (Stats.get stats "chaos.actions")
-    (Stats.get stats "chaos.skipped_actions");
-  Printf.printf "  reads: %d completed (accepted %d, by-master %d, gave up %d)\n"
-    s.Driver.reads_completed s.Driver.reads_accepted s.Driver.served_by_master
-    s.Driver.reads_gave_up;
-  Printf.printf "  resilience: %d timeout(s), %d degraded master read(s), breakers opened \
-                 %d / closed %d\n"
-    (Stats.get stats "client.read_timeouts")
-    (Stats.get stats "client.degraded_reads")
-    (Stats.get stats "client.breaker_opened")
-    (Stats.get stats "client.breaker_closed");
-  Printf.printf "  churn: %d crash(es), %d recover(ies); auditor overload drops %d\n"
-    (Stats.get stats "system.slave_crashes")
-    (Stats.get stats "system.slave_recoveries")
-    (Stats.get stats "auditor.overload_drops");
-  Printf.printf "  exclusions: [%s]\n"
-    (String.concat "; " (List.map string_of_int (Corrective.excluded (System.corrective system))));
-  (* Finalize before the trace dump so end-of-run alerts are included;
-     finalize-time alerts also land in [events_rev] for the checkers. *)
-  (match monitoring with
-  | None -> ()
-  | Some m -> ignore (finish_monitoring m system ~slo_out ~lineage_out ~print_report:true));
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-    let rendered =
-      match trace_format with
-      | "jsonl" -> Export.jsonl_of_trace (System.trace system)
-      | _ -> Export.chrome_of ~spans:(System.spans system) ~trace:(System.trace system) ()
-    in
-    write_out path rendered);
-  (* The checkers judge a harness-shaped result; the run had no injected
-     slave faults and no scenario ops, so [accepted] stays empty and the
-     honest-run invariants apply in full. *)
-  let result =
-    {
-      Harness.scenario =
-        {
-          Scenario.sys_seed = seed;
-          n_shards = 1;
-          n_masters = masters;
-          slaves_per_master;
-          n_clients = clients;
-          n_items = items;
-          max_latency;
-          keepalive_period = keepalive;
-          double_check_p = 0.05;
-          audit = true;
-          pledge_batch = 1;
-          read_nonces = false;
-          audit_adaptive = false;
-          net = Scenario.Wan;
-          faults = [];
-          chaos = [];
-          ops = [];
-        };
-      events = List.rev !events_rev;
-      accepted = [];
-      end_time = Secrep_sim.Sim.now (System.sim system);
-      pledges = List.rev !pledges_rev;
-      reexec = (fun ~version query -> System.reexec_digest system ~version query);
-      slave_public =
-        (fun slave_id ->
-          if slave_id >= 0 && slave_id < System.n_slaves system then
-            Some (Secrep_core.Slave.public (System.slave system slave_id))
-          else None);
-    }
-  in
-  match Invariant.check_all checkers result with
-  | Ok () ->
-    Printf.printf "invariants: %s — all held\n"
-      (String.concat ", " (List.map (fun c -> c.Invariant.name) checkers))
-  | Error msg ->
-    Printf.printf "invariant VIOLATED: %s\n" msg;
-    (match counterexample_out with
-    | None -> ()
-    | Some path ->
-      write_out path
-        (Printf.sprintf
-           "chaos counterexample\nseed: %d\nduration: %g\ntopology: %d masters x %d \
-            slaves, %d clients, %d items\nmax_latency: %g keepalive: %g\nviolation: \
-            %s\n\nschedule:\n%s"
-           seed duration masters slaves_per_master clients items max_latency keepalive msg
-           (Schedule.to_string schedule)));
-    exit 1
-
-(* Sharded chaos: host-level windows over the shared pool.  A crashed
-   or cut host takes down every co-located replica at once — the
-   cross-shard blast radius a per-slave schedule cannot express. *)
-let run_chaos_sharded ~shards ~domains ~masters ~replication_factor ~clients ~items
-    ~duration ~read_rate ~write_rate ~max_latency ~keepalive ~intensity ~seed ~invariants
-    ~trace_out ~counterexample_out =
-  let checkers =
-    match
-      Invariant.named
-        (if invariants = [] then
-           [ "availability"; "recovery-convergence"; "no-false-accusation"; "staleness";
-             "write-spacing"; "alert-coverage" ]
-         else invariants)
-    with
-    | Ok checkers -> checkers
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
+    | Error msg -> usage_error msg
   in
   let config =
     Config.validate_exn
@@ -1003,161 +774,107 @@ let run_chaos_sharded ~shards ~domains ~masters ~replication_factor ~clients ~it
   let d =
     Deployment.create ~n_shards:shards ~n_masters:masters ~replication_factor
       ~n_clients:clients ~config ~seed:(Int64.of_int seed) ~items_per_shard:items ~domains
-      ()
+      ?trace_capacity ?span_capacity ()
   in
-  let pool = Deployment.pool_size d in
-  (* per-shard live capture, exactly like the fuzz harness *)
-  let events_rev = Array.make shards [] in
-  let pledges_rev = Array.make shards [] in
-  for i = 0 to shards - 1 do
-    let sys = Deployment.system d i in
-    Trace.on_emit (System.trace sys) (fun r -> events_rev.(i) <- r :: events_rev.(i));
-    System.on_pledge_submitted sys (fun p -> pledges_rev.(i) <- p :: pledges_rev.(i))
-  done;
-  let tagged_rev = ref [] in
-  if trace_out <> None then
-    Deployment.on_event d (fun ~shard r ->
-        tagged_rev := Deployment.tagged_line ~shard r :: !tagged_rev);
-  (* seeded-random host windows: crash (state wiped, re-homed after the
-     provisioning delay) or cut (links only), self-healing *)
-  let crng = Prng.create ~seed:(Int64.of_int (seed + 2)) in
-  let n_windows = max 1 (int_of_float (intensity *. duration /. 30.0)) in
-  let windows =
-    List.init n_windows (fun _ ->
-        let host = Prng.int crng pool in
-        let kind = if Prng.bool crng then `Crash else `Cut in
-        let at = 5.0 +. (Prng.float crng *. Float.max 1.0 (duration -. 25.0)) in
-        let outage = 2.0 +. (Prng.float crng *. 13.0) in
-        (host, kind, at, outage))
+  (* Capture each shard's live stream for the checkers, exactly like the
+     fuzz harness: the trace ring may overwrite old records on long
+     runs, subscribers see everything. *)
+  let judge = Harness.capture d in
+  (* The only K-dependent step: without a script, K = 1 draws a
+     per-slave schedule and K > 1 draws host windows. *)
+  let faults =
+    match schedule_file with
+    | Some path -> inject_schedule d (read_schedule_file path)
+    | None when shards = 1 ->
+      inject_schedule d
+        (Schedule.random
+           ~rng:(Prng.create ~seed:(Int64.of_int (seed + 2)))
+           ~duration ~n_slaves:(Deployment.replication d) ~n_masters:masters
+           ~n_clients:clients ~intensity ())
+    | None -> inject_host_windows d ~seed ~intensity ~duration
   in
-  List.iter
-    (fun (host, kind, at, outage) ->
-      match kind with
-      | `Crash ->
-        Deployment.crash_host d ~at host;
-        Deployment.recover_host d ~at:(at +. outage) host
-      | `Cut ->
-        Deployment.cut_host d ~at host;
-        Deployment.heal_host d ~at:(at +. outage) host)
-    windows;
-  (* cross-shard workload *)
-  let g = Prng.create ~seed:(Int64.of_int (seed + 1)) in
-  let mixes =
-    Array.init shards (fun i -> Mix.create ~rng:(Prng.split g) ~keys:(Deployment.keys d i) ())
-  in
-  let pick_client = Prng.split g in
-  let cross = Cross.create ~rng:(Prng.split g) ~n_shards:shards () in
-  let issued = Array.make shards 0 in
-  let gave_up = Array.make shards 0 in
-  (* presampled in time-sorted arrival order, as in the run command:
-     shard callbacks must not share RNG state across domains *)
-  List.iter
-    (fun (at, shard) ->
-      let client = Prng.int pick_client clients in
-      Deployment.schedule d ~shard ~time:at (fun () ->
-          issued.(shard) <- issued.(shard) + 1;
-          Deployment.read d ~shard ~client
-            (Mix.next_query mixes.(shard))
-            ~on_done:(fun r ->
-              match r.Secrep_core.Client.outcome with
-              | `Gave_up -> gave_up.(shard) <- gave_up.(shard) + 1
-              | _ -> ())))
-    (Cross.arrivals cross ~rate:read_rate ~duration);
-  if write_rate > 0.0 then begin
-    let wcross = Cross.create ~rng:(Prng.split g) ~n_shards:shards () in
-    List.iter
-      (fun (at, shard) ->
-        Deployment.schedule d ~shard ~time:at (fun () ->
-            Deployment.write d ~shard ~client:0
-              (Mix.next_write mixes.(shard))
-              ~on_done:(fun _ -> ())))
-      (Cross.arrivals wcross ~rate:write_rate ~duration)
-  end;
+  let faults = List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) faults in
+  (* Settle: every in-flight read must be able to exhaust its retry
+     ladder and degraded fallback, and the last recovery needs
+     max_latency to converge, before the invariants judge the trace. *)
   let read_slack =
     float_of_int (config.Config.read_retry_limit + 2)
     *. ((config.Config.read_timeout_factor *. max_latency) +. config.Config.retry_backoff_cap)
   in
-  let last_heal =
-    List.fold_left (fun acc (_, _, at, outage) -> Float.max acc (at +. outage)) 0.0 windows
+  let last_fault = List.fold_left (fun acc (t, _) -> Float.max acc t) 0.0 faults in
+  let horizon =
+    Float.max duration last_fault +. read_slack +. (6.0 *. max_latency) +. 60.0
   in
-  Deployment.run_until d
-    (Float.max duration last_heal +. read_slack +. (6.0 *. max_latency) +. 60.0);
-  Printf.printf "sharded chaos run: seed %d, %d shard(s) over %d host(s), %d window(s)\n"
-    seed shards pool (List.length windows);
-  List.iter
-    (fun (host, kind, at, outage) ->
-      Printf.printf "    at %.1f %s host %d for %.1fs\n" at
-        (match kind with `Crash -> "crash" | `Cut -> "cut")
-        host outage)
-    (List.sort (fun (_, _, a, _) (_, _, b, _) -> Float.compare a b) windows);
-  for i = 0 to shards - 1 do
-    let sys = Deployment.system d i in
-    Printf.printf "  shard %d: %d read(s) issued, %d gave up; excluded [%s]\n" i issued.(i)
-      gave_up.(i)
-      (String.concat "; "
-         (List.map string_of_int (Corrective.excluded (System.corrective sys))))
-  done;
-  (match trace_out with
-  | None -> ()
-  | Some path -> write_out path (String.concat "\n" (List.rev !tagged_rev) ^ "\n"));
-  (* judge every shard against its own stream; the run injected no
-     adversarial faults, so the honest-run invariants apply in full *)
-  let violations = ref [] in
-  for i = 0 to shards - 1 do
-    let sys = Deployment.system d i in
-    let result =
-      {
-        Harness.scenario =
-          {
-            Scenario.sys_seed = seed;
-            n_shards = 1;
-            n_masters = masters;
-            slaves_per_master = max 1 (replication_factor / max 1 masters);
-            n_clients = clients;
-            n_items = items;
-            max_latency;
-            keepalive_period = keepalive;
-            double_check_p = 0.05;
-            audit = true;
-            pledge_batch = 1;
-      read_nonces = false;
-      audit_adaptive = false;
-            net = Scenario.Wan;
-            faults = [];
-            chaos = [];
-            ops = [];
-          };
-        events = List.rev events_rev.(i);
-        accepted = [];
-        end_time = Secrep_sim.Sim.now (System.sim sys);
-        pledges = List.rev pledges_rev.(i);
-        reexec = (fun ~version query -> System.reexec_digest sys ~version query);
-        slave_public =
-          (fun slave_id ->
-            if slave_id >= 0 && slave_id < System.n_slaves sys then
-              Some (Secrep_core.Slave.public (System.slave sys slave_id))
-            else None);
-      }
-    in
-    match Invariant.check_all checkers result with
-    | Ok () -> ()
-    | Error msg -> violations := Printf.sprintf "[shard %d] %s" i msg :: !violations
-  done;
-  match List.rev !violations with
+  let monitors =
+    if slo || slo_out <> None || lineage_out <> None then
+      Some (start_monitoring d ~config ~until:horizon)
+    else None
+  in
+  let write_trace = record_trace d ~trace_out ~trace_format in
+  let drivers = drive d ~seed ~read_rate ~write_rate ~duration in
+  Deployment.run_until d horizon;
+  Printf.printf "chaos run: seed %d, %d shard(s) over %d host(s), %d fault action(s) over %.1fs\n"
+    seed shards (Deployment.pool_size d) (List.length faults) duration;
+  List.iter (fun (t, what) -> Printf.printf "    at %g %s\n" t what) faults;
+  Array.iteri
+    (fun i driver ->
+      let sys = Deployment.system d i in
+      let stat = Stats.get (System.stats sys) in
+      let s = Driver.summary driver in
+      Printf.printf "  shard %d: reads %d completed (accepted %d, by-master %d, gave up %d)\n"
+        i s.Driver.reads_completed s.Driver.reads_accepted s.Driver.served_by_master
+        s.Driver.reads_gave_up;
+      Printf.printf "    applied %d scheduled action(s), skipped %d no-op(s)\n"
+        (stat "chaos.actions") (stat "chaos.skipped_actions");
+      Printf.printf
+        "    resilience: %d timeout(s), %d degraded master read(s), breakers opened %d / \
+         closed %d\n"
+        (stat "client.read_timeouts") (stat "client.degraded_reads")
+        (stat "client.breaker_opened") (stat "client.breaker_closed");
+      Printf.printf "    churn: %d crash(es), %d recover(ies); auditor overload drops %d\n"
+        (stat "system.slave_crashes") (stat "system.slave_recoveries")
+        (stat "auditor.overload_drops");
+      Printf.printf "    exclusions: [%s]\n"
+        (shard_list (Corrective.excluded (System.corrective sys))))
+    drivers;
+  Option.iter (finish_monitoring d ~slo_out ~lineage_out ~print_report:true) monitors;
+  write_trace ();
+  (* Judge every shard against its own stream.  The run injected no
+     adversarial faults and no scenario ops, so [accepted] stays empty
+     and the honest-run invariants apply in full. *)
+  let scenario =
+    Scenario.of_config ~sys_seed:seed ~n_masters:masters
+      ~slaves_per_master:(Deployment.replication d / masters)
+      ~n_clients:clients ~n_items:items config
+  in
+  let violations =
+    List.filter_map
+      (fun i ->
+        match Invariant.check_all checkers (judge ~shard:i scenario []) with
+        | Ok () -> None
+        | Error msg -> Some (Printf.sprintf "[shard %d] %s" i msg))
+      (List.init shards Fun.id)
+  in
+  match violations with
   | [] ->
     Printf.printf "invariants: %s — all held on every shard\n"
       (String.concat ", " (List.map (fun c -> c.Invariant.name) checkers))
-  | violations ->
-    List.iter (fun msg -> Printf.printf "invariant VIOLATED: %s\n" msg) violations;
-    (match counterexample_out with
-    | None -> ()
-    | Some path ->
-      write_out path
-        (Printf.sprintf
-           "sharded chaos counterexample\nseed: %d\nshards: %d\nreplication: %d\n\
-            duration: %g\nviolations:\n%s\n"
-           seed shards replication_factor duration
-           (String.concat "\n" violations)));
+  | _ ->
+    List.iter (Printf.printf "invariant VIOLATED: %s\n") violations;
+    Option.iter
+      (fun path ->
+        write_out path
+          (Printf.sprintf
+             "chaos counterexample\nseed: %d\nshards: %d\ntopology: %d masters x %d \
+              slaves, %d clients, %d items\nduration: %g\nmax_latency: %g keepalive: \
+              %g\nviolations:\n%s\n\nschedule:\n%s"
+             seed shards masters
+             (Deployment.replication d / masters)
+             clients items duration max_latency keepalive
+             (String.concat "\n" violations)
+             (String.concat ""
+                (List.map (fun (t, what) -> Printf.sprintf "at %g %s\n" t what) faults))))
+      counterexample_out;
     exit 1
 
 let chaos_cmd =
@@ -1166,33 +883,12 @@ let chaos_cmd =
     Arg.(value & opt int 3 & info [ "slaves-per-master" ] ~doc:"Slaves per master.")
   in
   let shards =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "shards" ]
-          ~doc:
-            "Content items in the deployment.  >1 switches to host-level chaos over a \
-             shared pool: each window crashes or cuts a pool host, hitting every \
-             co-located replica, and invariants are checked per shard.")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "domains" ]
-          ~doc:
-            "Worker domains for a sharded chaos run (--shards > 1).  0 or 1 is the \
-             sequential lockstep scheduler; >1 uses the parallel domain pool.  Chaos \
-             injection and event streams are bit-identical either way.")
-  in
-  let replication_factor =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "replication-factor" ]
-          ~doc:
-            "Replicas per content item (default: masters x slaves-per-master).  Only \
-             meaningful with --shards > 1.")
+    shards_arg
+      ~doc:
+        "Content items in the deployment.  Invariants are checked per shard.  Without \
+         --schedule, 1 draws a random per-slave schedule and >1 draws host-level chaos \
+         over the shared pool: each window crashes or cuts a pool host, hitting every \
+         co-located replica."
   in
   let clients = Arg.(value & opt int 4 & info [ "clients" ] ~doc:"Number of clients.") in
   let items = Arg.(value & opt int 50 & info [ "items" ] ~doc:"Documents in the content.") in
@@ -1218,8 +914,9 @@ let chaos_cmd =
       & opt (some string) None
       & info [ "schedule" ] ~docv:"FILE"
           ~doc:
-            "Scripted fault timeline ('at TIME ACTION' per line, see docs/ROBUSTNESS.md).  \
-             Omit to draw a seeded-random schedule.")
+            "Scripted fault timeline ('at TIME ACTION' per line, see docs/ROBUSTNESS.md), \
+             applied to every shard with shard-local ids.  Omit to draw a seeded-random \
+             schedule.")
   in
   let intensity =
     Arg.(
@@ -1235,10 +932,8 @@ let chaos_cmd =
       & opt_all string []
       & info [ "invariant" ] ~docv:"NAME"
           ~doc:
-            (Printf.sprintf
-               "Only check invariant $(docv).  Repeatable; default: availability, \
-                recovery-convergence, no-false-accusation, staleness, write-spacing.  \
-                Known: %s."
+            (Printf.sprintf "Only check invariant $(docv).  Repeatable; default: %s.  Known: %s."
+               (String.concat ", " chaos_default_invariants)
                (String.concat ", " (List.map (fun c -> c.Invariant.name) Invariant.all))))
   in
   let trace_out =
@@ -1252,7 +947,8 @@ let chaos_cmd =
     Arg.(
       value
       & opt string "jsonl"
-      & info [ "trace-format" ] ~docv:"FMT" ~doc:"Trace dump format: $(b,jsonl) or $(b,chrome).")
+      & info [ "trace-format" ] ~docv:"FMT"
+          ~doc:"Trace dump format: $(b,jsonl) or $(b,chrome) (needs --shards 1).")
   in
   let counterexample_out =
     Arg.(
@@ -1272,27 +968,13 @@ let chaos_cmd =
              read_rate write_rate max_latency keepalive schedule_file intensity seed
              invariants trace_out trace_format counterexample_out slo slo_out lineage_out
              trace_capacity span_capacity ->
-          if shards > 1 then begin
-            if schedule_file <> None then begin
-              Printf.eprintf
-                "--schedule targets single-system slave/master ids; use seeded-random \
-                 host-level chaos with --shards > 1\n";
-              Stdlib.exit 2
-            end;
-            run_chaos_sharded ~shards ~domains ~masters
-              ~replication_factor:
-                (match replication_factor with
-                | Some r -> r
-                | None -> masters * slaves_per_master)
-              ~clients ~items ~duration ~read_rate ~write_rate ~max_latency ~keepalive
-              ~intensity ~seed ~invariants ~trace_out ~counterexample_out
-          end
-          else
-            run_chaos ~masters ~slaves_per_master ~clients ~items ~duration ~read_rate
-              ~write_rate ~max_latency ~keepalive ~schedule_file ~intensity ~seed
-              ~invariants ~trace_out ~trace_format ~counterexample_out ~slo ~slo_out
-              ~lineage_out ~trace_capacity ~span_capacity)
-      $ masters $ slaves $ shards $ domains $ replication_factor $ clients $ items
+          run_chaos ~shards ~domains ~masters
+            ~replication_factor:
+              (Option.value replication_factor ~default:(masters * slaves_per_master))
+            ~clients ~items ~duration ~read_rate ~write_rate ~max_latency ~keepalive
+            ~schedule_file ~intensity ~seed ~invariants ~trace_out ~trace_format
+            ~counterexample_out ~slo ~slo_out ~lineage_out ~trace_capacity ~span_capacity)
+      $ masters $ slaves $ shards $ domains_arg $ replication_factor_arg $ clients $ items
       $ duration
       $ read_rate $ write_rate $ max_latency $ keepalive $ schedule_file $ intensity $ seed
       $ invariants $ trace_out $ trace_format $ counterexample_out $ slo_flag $ slo_out
@@ -1302,9 +984,9 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:
          "Run a workload under a fault timeline — partitions, crash/recover churn, loss \
-          bursts, latency spikes — and check the resilience invariants on the event \
-          stream.  Scripted (--schedule) or seeded-random; both replay exactly from the \
-          same inputs.")
+          bursts, latency spikes — and check the resilience invariants on each shard's \
+          event stream.  Scripted (--schedule) or seeded-random; both replay exactly from \
+          the same inputs.")
     term
 
 (* -- attack campaign ----------------------------------------------------

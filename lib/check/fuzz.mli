@@ -5,7 +5,12 @@
     fuzz-oriented tests; it is {!Prop.check} instantiated with
     {!Scenario.gen}/{!Scenario.shrink} and {!Invariant.check_all}. *)
 
-type outcome = Passed of { runs : int } | Failed of Scenario.t Prop.failure
+type outcome =
+  | Passed of { runs : int }
+  | Failed of { failure : Scenario.t Prop.failure; replay : string }
+      (** [replay] is the one-line CLI invocation reproducing the
+          failing run exactly: its seed plus every pin the campaign was
+          given ([--shards], [--replication-factor], [--invariant]). *)
 
 val run :
   ?runs:int ->
@@ -18,16 +23,13 @@ val run :
   outcome
 (** Defaults: 100 runs, 200 shrink steps, all invariants.  Run [i]
     uses seed [seed + i], so any failure replays with
-    [run ~runs:1 ~seed:failure.seed].  Scenarios draw a shard count
-    (1–4); sharded scenarios run on a {!Secrep_shard.Deployment} via
-    {!Harness.run_sharded} with every invariant checked per shard, and
-    violations are prefixed with the failing shard's index.
-    [shards] / [slaves_per_master] pin those scenario fields across
-    both generation and shrinking (the CLI's [--shards] and
+    [run ~runs:1 ~seed:failure.seed] and the same pins.  Scenarios draw
+    a shard count (1–4) and run on a {!Secrep_shard.Deployment} via
+    {!Harness.run} with every invariant checked per shard; violations
+    of multi-shard scenarios are prefixed with the failing shard's
+    index.  [shards] / [slaves_per_master] pin those scenario fields
+    across both generation and shrinking (the CLI's [--shards] and
     [--replication-factor]). *)
-
-val replay_hint : Scenario.t Prop.failure -> string
-(** One-line CLI invocation reproducing the failing run exactly. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** Human-readable campaign report: pass summary, or the original and

@@ -1,11 +1,12 @@
 (** Deterministic scenario execution.
 
-    Builds a {!Secrep_core.System.t} from a {!Scenario.t}, subscribes
-    to the live trace stream (so no event is lost to the ring buffer),
+    Builds a {!Secrep_shard.Deployment.t} from a {!Scenario.t} (one
+    shard is the paper's single-content system), subscribes to each
+    shard's live trace stream (so no event is lost to the ring buffer),
     schedules the scenario's timed operations, runs the simulator past
     the point where every write has committed and the auditor has
-    caught up, and returns the complete typed event stream plus every
-    accepted read labelled against the ground-truth oracle.
+    caught up, and returns, per shard, the complete typed event stream
+    plus every accepted read labelled against the ground-truth oracle.
 
     Everything is seeded from the scenario, so two runs of the same
     scenario produce bit-identical results. *)
@@ -33,33 +34,31 @@ type run_result = {
       (** public keys of the run's slaves, for offline signature checks *)
 }
 
-val run : Scenario.t -> run_result
-(** Chaos windows from the scenario are armed via
-    {!Secrep_chaos.Injector.apply} before the first operation fires;
-    the run horizon covers the last heal plus a convergence margin and
-    every read's worst-case retry ladder. *)
-
-val run_sharded : ?domains:int -> Scenario.t -> run_result list
+val run : ?domains:int -> Scenario.t -> run_result list
 (** Execute the scenario over [n_shards] content items and return one
     result per shard, each carrying the slice of the scenario that
-    shard saw (its own faults and ops; chaos windows are global).
+    shard saw (its own faults and ops; chaos windows are global).  Ops
+    route to shard [key mod K] and adversarial faults to shard
+    [slave mod K].  Slave cuts and churn act on the pool host holding
+    that slot of shard [slave mod K], hitting every co-located replica
+    (at K = 1, exactly the named slave); master, auditor, loss and
+    latency windows are applied per shard.  The run horizon covers the
+    last heal plus a convergence margin and every read's worst-case
+    retry ladder.
+
     [domains] selects the deployment scheduler (0/1 sequential, [> 1]
     the parallel worker pool); every setting must produce byte-identical
     per-shard streams — the [parallel-determinism] invariant holds the
-    harness to that.
+    harness to that. *)
 
-    [n_shards = 1] is exactly [[run scenario]] — same code path, same
-    stream — so the sharded prop degenerates to the classic one.  With
-    [K > 1] the scenario runs on a {!Secrep_shard.Deployment}: ops
-    route to shard [key mod K], adversarial faults to shard
-    [slave mod K], and chaos windows become cross-shard (slave cuts
-    and churn act on pool hosts, hitting every co-located replica;
-    auditor cuts and network degradation hit all shards). *)
-
-val schedule_of_chaos : Scenario.chaos list -> Secrep_chaos.Schedule.t
-(** The disrupt/heal entry pairs a scenario's chaos windows expand to.
-    Exposed for the CLI, which reuses it to print and export
-    schedules. *)
+val capture :
+  Secrep_shard.Deployment.t -> shard:int -> Scenario.t -> accepted_read list -> run_result
+(** [capture d] subscribes to every shard's event stream and pledge
+    feed — call it right after {!Secrep_shard.Deployment.create},
+    before anything runs — and returns the builder that, once the run is
+    over, packages shard [shard]'s capture as a [run_result] judged
+    against the given scenario and accepted reads.  {!run} uses it, and
+    so does the CLI's [chaos] command for runs it drives itself. *)
 
 val events_digest : run_result -> string
 (** SHA-1 over the rendered event stream (time, source, event); equal

@@ -25,7 +25,9 @@ let accused_slaves result =
 let detection =
   {
     name = "detection";
-    doc = "accepted wrong answers are eventually flagged (audit on, loss-free net, no chaos)";
+    doc =
+      "accepted wrong answers are eventually flagged (audit on, loss-free net, no chaos; \
+       replayed pledges without read nonces excepted)";
     check =
       (fun result ->
         let s = result.Harness.scenario in
@@ -34,11 +36,25 @@ let detection =
         if (not s.Scenario.audit) || Scenario.lossy s || Scenario.has_chaos s then Ok ()
         else begin
           let flagged = accused_slaves result in
+          (* A replayed pledge re-executes clean, so audits alone can
+             never convict it; its defense is read nonces, which
+             [replay-rejection] checks.  Without nonces its reads are
+             out of scope here. *)
+          let replayers =
+            if s.Scenario.read_nonces then []
+            else
+              List.filter_map
+                (fun (f : Scenario.fault) ->
+                  if f.Scenario.mode = Secrep_core.Fault.Replay_pledge then Some f.Scenario.slave
+                  else None)
+                s.Scenario.faults
+          in
           let unflagged =
             List.filter
               (fun (a : Harness.accepted_read) ->
                 a.Harness.wrong && a.Harness.slave >= 0
-                && not (List.mem a.Harness.slave flagged))
+                && (not (List.mem a.Harness.slave flagged))
+                && not (List.mem a.Harness.slave replayers))
               result.Harness.accepted
           in
           match unflagged with
@@ -680,7 +696,7 @@ let parallel_determinism =
              the scheduler — PRNG draws, chaos fan-out, rebalances,
              auditor budgets — not just the merge order. *)
           let digests domains =
-            List.map Harness.events_digest (Harness.run_sharded ~domains s)
+            List.map Harness.events_digest (Harness.run ~domains s)
           in
           let sequential = digests 0 and parallel = digests 2 in
           let rec walk i = function
@@ -716,17 +732,7 @@ let alert_coverage =
         let s = result.Harness.scenario in
         (* Mirror the harness's config so the monitor judges the run by
            the thresholds it actually ran under. *)
-        let config =
-          Secrep_core.Config.validate_exn
-            {
-              Secrep_core.Config.default with
-              Secrep_core.Config.max_latency = s.Scenario.max_latency;
-              keepalive_period = s.Scenario.keepalive_period;
-              double_check_probability = s.Scenario.double_check_p;
-              audit_enabled = s.Scenario.audit;
-              pledge_batch_size = s.Scenario.pledge_batch;
-            }
-        in
+        let config = Scenario.config s in
         let violated =
           List.filter_map
             (fun c ->

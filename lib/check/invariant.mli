@@ -19,7 +19,10 @@ val detection : checker
     flagged: a double-check mismatch, an audit conviction or an
     exclusion of that slave appears in the stream.  Requires
     [audit = true], a loss-free network and no chaos (an auditor cut
-    can legitimately drop the convicting evidence). *)
+    can legitimately drop the convicting evidence).  Reads served by a
+    pledge-replaying slave are skipped when read nonces are off: a
+    replay re-executes clean, so audits alone can never convict it —
+    its defense is the nonce, which {!replay_rejection} checks. *)
 
 val no_false_accusation : checker
 (** A run with no injected faults never produces a double-check
@@ -89,15 +92,14 @@ val adaptive_no_worse : checker
 
 val parallel_determinism : checker
 (** Differential oracle for the domain-parallel shard scheduler:
-    re-runs the result's scenario through {!Harness.run_sharded} with
+    re-runs the result's scenario through {!Harness.run} with
     [domains = 0] (sequential lockstep) and [domains = 2] (parallel
     worker pool) and demands byte-identical per-shard event stream
     digests ({!Harness.events_digest}).  Because both runs replay the
     scenario from scratch, the comparison covers every source of
     divergence downstream of the scheduler — PRNG draws, chaos fan-out,
     rebalance decisions, auditor budgets — not just the merge order.
-    Vacuous for single-shard scenarios (no deployment, nothing to
-    parallelise). *)
+    Vacuous for single-shard scenarios (nothing to parallelise). *)
 
 val alert_coverage : checker
 (** Cross-check between the fuzz invariants and the online monitor:

@@ -1,4 +1,5 @@
 module Fault = Secrep_core.Fault
+module Config = Secrep_core.Config
 
 type net = Lan | Wan | Lossy of float
 
@@ -133,6 +134,40 @@ let normalize s =
     faults = List.map normalize_fault s.faults;
     chaos = List.map normalize_chaos s.chaos;
     ops = List.map normalize_op s.ops;
+  }
+
+let config s =
+  Config.validate_exn
+    {
+      Config.default with
+      Config.max_latency = s.max_latency;
+      keepalive_period = s.keepalive_period;
+      double_check_probability = s.double_check_p;
+      audit_enabled = s.audit;
+      pledge_batch_size = s.pledge_batch;
+      read_nonces = s.read_nonces;
+      audit_adaptive = s.audit_adaptive;
+    }
+
+let of_config ~sys_seed ~n_masters ~slaves_per_master ~n_clients ~n_items (c : Config.t) =
+  {
+    sys_seed;
+    n_shards = 1;
+    n_masters;
+    slaves_per_master;
+    n_clients;
+    n_items;
+    max_latency = c.Config.max_latency;
+    keepalive_period = c.Config.keepalive_period;
+    double_check_p = c.Config.double_check_probability;
+    audit = c.Config.audit_enabled;
+    pledge_batch = c.Config.pledge_batch_size;
+    read_nonces = c.Config.read_nonces;
+    audit_adaptive = c.Config.audit_adaptive;
+    net = Wan;
+    faults = [];
+    chaos = [];
+    ops = [];
   }
 
 let honest s = (normalize s).faults = []

@@ -75,6 +75,23 @@ type t = {
 val normalize : t -> t
 (** Idempotent; every field in range, every index within the topology. *)
 
+val config : t -> Secrep_core.Config.t
+(** The protocol configuration the scenario runs under: the default
+    config with the scenario's protocol knobs applied. *)
+
+val of_config :
+  sys_seed:int ->
+  n_masters:int ->
+  slaves_per_master:int ->
+  n_clients:int ->
+  n_items:int ->
+  Secrep_core.Config.t ->
+  t
+(** A workload-free description of one shard of a run its caller drove
+    itself (the CLI's [chaos]): the config's protocol knobs, a WAN, no
+    faults, chaos windows or ops — so the honest-run invariants apply
+    in full.  Not normalized: sizes are taken as given. *)
+
 val honest : t -> bool
 (** No effective fault after normalization.  Chaos does not count:
     an honest run under partitions must still never accuse anyone. *)

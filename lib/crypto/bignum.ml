@@ -272,10 +272,6 @@ let mod_exp_schoolbook ~base:b ~exp ~modulus =
     !acc
   end
 
-(* Toggled off only by benches that want the seed-era cost model; reads
-   are safe from any domain, but don't flip it while other domains run. *)
-let use_montgomery = ref true
-
 module Mont = struct
   (* Montgomery arithmetic over the 26-bit limbs.  For an odd modulus m
      of k limbs, R = 2^(26k) and values live as residues a*R mod m in
@@ -446,12 +442,9 @@ end
 
 let mod_exp ~base:b ~exp ~modulus =
   if is_zero modulus then raise Division_by_zero;
-  if (not !use_montgomery) || is_even modulus then mod_exp_schoolbook ~base:b ~exp ~modulus
-  else begin
-    match Mont.make modulus with
-    | Some ctx -> Mont.exp ctx ~base:b ~exp
-    | None -> mod_exp_schoolbook ~base:b ~exp ~modulus (* modulus = 1 *)
-  end
+  match Mont.make modulus with
+  | Some ctx -> Mont.exp ctx ~base:b ~exp
+  | None -> mod_exp_schoolbook ~base:b ~exp ~modulus (* even modulus, or 1 *)
 
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 

@@ -63,14 +63,9 @@ val mod_exp : base:t -> exp:t -> modulus:t -> t
 
 val mod_exp_schoolbook : base:t -> exp:t -> modulus:t -> t
 (** The seed implementation: left-to-right binary exponentiation with a
-    full division per step.  Kept as the reference for differential
-    tests and as the baseline the E15 bench measures against. *)
-
-val use_montgomery : bool ref
-(** When [false], {!mod_exp} (and the RSA/Miller-Rabin fast paths built
-    on {!Mont}) fall back to the schoolbook kernel.  Defaults to
-    [true]; benches flip it to measure the seed baseline.  Toggle only
-    while no other domain is computing. *)
+    full division per step.  Kept as the even-modulus fallback and as
+    the reference for differential tests and the E15 bench, which reach
+    it through RSA keys whose Montgomery contexts are [None]. *)
 
 module Mont : sig
   (** Montgomery arithmetic for a fixed odd modulus: a per-modulus

@@ -15,46 +15,27 @@ let random_below g n =
   in
   draw ()
 
-(* true = [a] witnesses that [n] is composite.  When a Montgomery
-   context for [n] is available the whole chain — the initial a^d and
-   the s-1 squarings — stays in Montgomery form; residues are compared
-   against the precomputed images of 1 and n-1 (the correspondence is a
-   bijection, so comparing in either domain is equivalent). *)
-let miller_rabin_witness ?ctx n d s a =
-  let n1 = Bignum.pred n in
-  match ctx with
-  | Some (ctx, one_m, n1_m) ->
-    let x = ref (Bignum.Mont.exp_mont ctx ~base:a ~exp:d) in
-    if Bignum.equal !x one_m || Bignum.equal !x n1_m then false
-    else begin
-      let witness = ref true in
-      (try
-         for _ = 1 to s - 1 do
-           x := Bignum.Mont.mul ctx !x !x;
-           if Bignum.equal !x n1_m then begin
-             witness := false;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      !witness
-    end
-  | None ->
-    let x = ref (Bignum.mod_exp ~base:a ~exp:d ~modulus:n) in
-    if Bignum.equal !x Bignum.one || Bignum.equal !x n1 then false
-    else begin
-      let witness = ref true in
-      (try
-         for _ = 1 to s - 1 do
-           x := Bignum.rem (Bignum.mul !x !x) n;
-           if Bignum.equal !x n1 then begin
-             witness := false;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      !witness
-    end
+(* true = [a] witnesses that [n] is composite.  The whole chain — the
+   initial a^d and the s-1 squarings — stays in Montgomery form;
+   residues are compared against the precomputed images of 1 and n-1
+   (the correspondence is a bijection, so comparing in either domain is
+   equivalent). *)
+let miller_rabin_witness (ctx, one_m, n1_m) d s a =
+  let x = ref (Bignum.Mont.exp_mont ctx ~base:a ~exp:d) in
+  if Bignum.equal !x one_m || Bignum.equal !x n1_m then false
+  else begin
+    let witness = ref true in
+    (try
+       for _ = 1 to s - 1 do
+         x := Bignum.Mont.mul ctx !x !x;
+         if Bignum.equal !x n1_m then begin
+           witness := false;
+           raise Exit
+         end
+       done
+     with Exit -> ());
+    !witness
+  end
 
 let is_probable_prime ?(rounds = 24) g n =
   match Bignum.to_int_opt n with
@@ -72,13 +53,11 @@ let is_probable_prime ?(rounds = 24) g n =
       let n1 = Bignum.pred n in
       let rec split d s = if Bignum.is_even d then split (Bignum.shift_right d 1) (s + 1) else (d, s) in
       let d, s = split n1 0 in
-      (* One Montgomery context shared by all rounds for this n. *)
+      (* One Montgomery context shared by all rounds for this n; n is
+         odd and past the small primes here, so the context exists. *)
       let ctx =
-        if not !Bignum.use_montgomery then None
-        else
-          match Bignum.Mont.make n with
-          | None -> None
-          | Some c -> Some (c, Bignum.Mont.one c, Bignum.Mont.to_mont c n1)
+        let c = Option.get (Bignum.Mont.make n) in
+        (c, Bignum.Mont.one c, Bignum.Mont.to_mont c n1)
       in
       let three = Bignum.of_int 3 in
       let rec rounds_left k =
@@ -87,7 +66,7 @@ let is_probable_prime ?(rounds = 24) g n =
           (* a uniform in [2, n-2] *)
           let span = Bignum.sub n three in
           let a = Bignum.add (random_below g span) Bignum.two in
-          if miller_rabin_witness ?ctx n d s a then false else rounds_left (k - 1)
+          if miller_rabin_witness ctx d s a then false else rounds_left (k - 1)
         end
       in
       rounds_left rounds

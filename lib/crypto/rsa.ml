@@ -21,13 +21,13 @@ let e65537 = Bignum.of_int 65537
 let make_public ~n ~e = { n; e; n_mont = Bignum.Mont.make n }
 
 (* All exponentiations go through here: the cached Montgomery context
-   when there is one and the kernel is enabled, the seed schoolbook
-   path otherwise (even/degenerate moduli from hostile decodes, or the
-   E15 baseline flag).  Both compute the identical value. *)
+   when there is one, the seed schoolbook path otherwise (even/degenerate
+   moduli from hostile decodes, or a reference key built with the
+   contexts cleared).  Both compute the identical value. *)
 let mexp ctx ~base ~exp ~modulus =
   match ctx with
-  | Some c when !Bignum.use_montgomery -> Bignum.Mont.exp c ~base ~exp
-  | _ -> Bignum.mod_exp_schoolbook ~base ~exp ~modulus
+  | Some c -> Bignum.Mont.exp c ~base ~exp
+  | None -> Bignum.mod_exp_schoolbook ~base ~exp ~modulus
 
 let generate g ~bits =
   if bits < 64 then invalid_arg "Rsa.generate: modulus too small";

@@ -194,7 +194,7 @@ let rebalance_slot t sh ~slot ~reason =
 let create ~n_shards ?(n_masters = 1) ?(replication_factor = 3) ?(n_clients = 2)
     ?pool_size ?(config = Config.default) ?net ?(seed = 1L) ?(items_per_shard = 0)
     ?audit_queue_total ?slice ?(auto_rebalance = true) ?provision_delay
-    ?track_ground_truth ?trace_capacity ?domains () =
+    ?track_ground_truth ?trace_capacity ?span_capacity ?domains () =
   if n_shards < 1 then invalid_arg "Deployment.create: n_shards must be at least 1";
   let domains =
     match domains with Some d -> d | None -> config.Config.parallel_domains
@@ -241,7 +241,7 @@ let create ~n_shards ?(n_masters = 1) ?(replication_factor = 3) ?(n_clients = 2)
     Array.init n_shards (fun k ->
         let system =
           System.create ~n_masters ~slaves_per_master ~n_clients ~config ?net
-            ~seed:(shard_seed ~seed k) ?track_ground_truth ()
+            ~seed:(shard_seed ~seed k) ?track_ground_truth ?trace_capacity ?span_capacity ()
         in
         let keys =
           if items_per_shard > 0 then begin

@@ -48,6 +48,7 @@ val create :
   ?provision_delay:float ->
   ?track_ground_truth:bool ->
   ?trace_capacity:int ->
+  ?span_capacity:int ->
   ?domains:int ->
   unit ->
   t
@@ -60,6 +61,8 @@ val create :
     slaves onto fresh pool hosts after [provision_delay] (default two
     keep-alive periods); turn it off for strict differential runs
     against standalone systems that lack a re-homing operator.
+    [trace_capacity] and [span_capacity] size each shard's trace and
+    span rings (the deployment trace takes [trace_capacity] too).
     [domains] (default {!Secrep_core.Config.t.parallel_domains}) caps
     the worker-domain pool; 0 and 1 select the sequential scheduler. *)
 

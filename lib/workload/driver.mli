@@ -27,6 +27,12 @@ val create :
   t
 (** [level_chooser] (when given) overrides [level] per read. *)
 
+val issue_read : t -> unit
+(** Issue one read now: the next client round-robin, the next query
+    from the mix.  [run_reads] schedules exactly this per arrival;
+    callers with their own arrival process (e.g. a cross-shard one)
+    call it directly. *)
+
 val run_reads :
   t -> rate:float -> duration:float -> unit
 (** Schedule Poisson read arrivals at [rate]/s over [duration] sim

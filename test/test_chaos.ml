@@ -302,7 +302,11 @@ let test_harness_chaos_scenario_invariants () =
                Scenario.Read { client = i mod 2; key = i mod 4; at = 1.0 +. float_of_int i });
     }
   in
-  let result = Harness.run scenario in
+  let result =
+    match Harness.run scenario with
+    | [ result ] -> result
+    | results -> failf "expected one shard's result, got %d" (List.length results)
+  in
   (match Invariant.check_all Invariant.all result with
   | Ok () -> ()
   | Error msg -> failf "invariant violated under chaos: %s" msg);

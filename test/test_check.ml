@@ -121,27 +121,35 @@ let test_scenario_shrink_stays_normal () =
 
 (* ---------------- Harness: deterministic replay ---------------- *)
 
+(* The result of a one-shard scenario. *)
+let run1 scenario =
+  match Harness.run scenario with
+  | [ result ] -> result
+  | results -> Alcotest.failf "expected one shard's result, got %d" (List.length results)
+
 let test_harness_replay_identical () =
   (* Satellite: two runs from the same seed produce identical event
-     streams, bit for bit. *)
+     streams, bit for bit, shard by shard. *)
   List.iter
     (fun seed ->
       let scenario = Gen.run ~seed Scenario.gen in
       let a = Harness.run scenario in
       let b = Harness.run scenario in
-      check string_t
+      check (Alcotest.list string_t)
         (Printf.sprintf "event streams equal for seed %Ld" seed)
-        (Harness.events_digest a) (Harness.events_digest b);
-      check int_t "same number of events" (List.length a.Harness.events)
-        (List.length b.Harness.events);
-      check bool_t "same accepted reads" true (a.Harness.accepted = b.Harness.accepted))
+        (List.map Harness.events_digest a) (List.map Harness.events_digest b);
+      check (Alcotest.list int_t) "same number of events"
+        (List.map (fun r -> List.length r.Harness.events) a)
+        (List.map (fun r -> List.length r.Harness.events) b);
+      check bool_t "same accepted reads" true
+        (List.map (fun r -> r.Harness.accepted) a = List.map (fun r -> r.Harness.accepted) b))
     [ 1L; 2L; 17L; 23L ]
 
 let test_fuzz_campaign_deterministic () =
   let run () = Fuzz.run ~runs:10 ~seed:42L () in
   match (run (), run ()) with
   | Fuzz.Passed { runs = a }, Fuzz.Passed { runs = b } -> check int_t "same pass" a b
-  | Fuzz.Failed a, Fuzz.Failed b ->
+  | Fuzz.Failed { failure = a; _ }, Fuzz.Failed { failure = b; _ } ->
     check bool_t "same failure" true
       (a.Prop.seed = b.Prop.seed
       && Scenario.to_string a.Prop.shrunk = Scenario.to_string b.Prop.shrunk)
@@ -187,7 +195,7 @@ let test_detection_across_100_runs () =
   let total_wrong = ref 0 in
   for i = 0 to 109 do
     let mode = if i mod 2 = 0 then Fault.Corrupt_result else Fault.Stale_state in
-    let result = Harness.run (attack_scenario ~sys_seed:i ~mode ()) in
+    let result = run1 (attack_scenario ~sys_seed:i ~mode ()) in
     total_wrong :=
       !total_wrong
       + List.length (List.filter (fun a -> a.Harness.wrong) result.Harness.accepted);
@@ -200,7 +208,7 @@ let test_detection_across_100_runs () =
 let test_all_invariants_under_attack () =
   for i = 0 to 19 do
     let result =
-      Harness.run (attack_scenario ~sys_seed:(1000 + i) ~mode:Fault.Corrupt_result ())
+      run1 (attack_scenario ~sys_seed:(1000 + i) ~mode:Fault.Corrupt_result ())
     in
     match Invariant.check_all Invariant.all result with
     | Ok () -> ()
@@ -215,11 +223,62 @@ let test_no_false_accusation_honest_runs () =
         Scenario.faults = [];
       }
     in
-    let result = Harness.run s in
+    let result = run1 s in
     match Invariant.check_all Invariant.all result with
     | Ok () -> ()
     | Error msg -> Alcotest.failf "honest run %d: %s" i msg
   done
+
+(* Regression, shrunk from [fuzz --runs 300 --seed 100 --shards 1
+   --invariant detection] before the fix (failing seed 187): a
+   pledge-replaying slave without read nonces gets a wrong answer
+   accepted that no audit can convict — the replayed pledge re-executes
+   clean.  Its defense is the nonce ([replay-rejection]), so
+   [detection] must not demand a conviction. *)
+let test_detection_skips_replay_without_nonces () =
+  let scenario =
+    {
+      Scenario.sys_seed = 490547;
+      n_shards = 1;
+      n_masters = 1;
+      slaves_per_master = 1;
+      n_clients = 1;
+      n_items = 2;
+      max_latency = 5.0;
+      keepalive_period = 2.5;
+      double_check_p = 0.0;
+      audit = true;
+      pledge_batch = 1;
+      read_nonces = false;
+      audit_adaptive = false;
+      net = Scenario.Lan;
+      faults =
+        [ { Scenario.slave = 0; mode = Fault.Replay_pledge; probability = 1.0; from_time = 2.71 } ];
+      chaos = [];
+      ops =
+        [
+          Scenario.Read { client = 0; key = 1; at = 7.38 };
+          Scenario.Read { client = 0; key = 0; at = 3.88 };
+        ];
+    }
+  in
+  let result = run1 scenario in
+  check bool_t "a replayed wrong answer was accepted" true
+    (List.exists (fun a -> a.Harness.wrong && a.Harness.slave = 0) result.Harness.accepted);
+  check bool_t "and no audit convicted the replaying slave" true
+    (List.for_all
+       (fun (r : Secrep_sim.Trace.record) ->
+         match r.Secrep_sim.Trace.event with
+         | Secrep_sim.Event.Audit_conviction _ | Secrep_sim.Event.Slave_excluded _ -> false
+         | _ -> true)
+       result.Harness.events);
+  (match Invariant.detection.Invariant.check result with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "detection flagged a nonce-less replay: %s" msg);
+  check bool_t "with nonces on, detection still judges the slave" true
+    (Invariant.detection.Invariant.check
+       { result with Harness.scenario = { scenario with Scenario.read_nonces = true } }
+    <> Ok ())
 
 (* ---------------- Differential audit ---------------- *)
 
@@ -247,7 +306,7 @@ let test_differential_audit_under_attack () =
     let scenario =
       if i mod 2 = 0 then { scenario with Scenario.faults = [] } else scenario
     in
-    let result = Harness.run scenario in
+    let result = run1 scenario in
     pledges_seen := !pledges_seen + List.length result.Harness.pledges;
     (match Invariant.differential_audit.Invariant.check result with
     | Ok () -> ()
@@ -275,7 +334,7 @@ let test_differential_audit_under_attack () =
 let test_all_invariants_batched () =
   for i = 0 to 9 do
     let result =
-      Harness.run
+      run1
         (attack_scenario ~pledge_batch:4 ~sys_seed:(4000 + i) ~mode:Fault.Corrupt_result ())
     in
     match Invariant.check_all Invariant.all result with
@@ -299,10 +358,20 @@ let inverted_checker =
         if result.Harness.accepted <> [] then Error "a read was accepted" else Ok ());
   }
 
+let contains haystack needle =
+  let rec go i =
+    if i + String.length needle > String.length haystack then false
+    else String.sub haystack i (String.length needle) = needle || go (i + 1)
+  in
+  go 0
+
+let fails_somewhere checker scenario =
+  List.exists (fun r -> checker.Invariant.check r <> Ok ()) (Harness.run scenario)
+
 let test_inverted_invariant_shrinks_small () =
   match Fuzz.run ~runs:50 ~invariants:[ inverted_checker ] ~seed:7L () with
   | Fuzz.Passed _ -> Alcotest.fail "inverted invariant should fail fast"
-  | Fuzz.Failed f ->
+  | Fuzz.Failed { failure = f; replay } as outcome ->
     let s = f.Prop.shrunk in
     check bool_t "<= 3 clients" true (s.Scenario.n_clients <= 3);
     check bool_t "<= 2 slaves" true (s.Scenario.n_masters * s.Scenario.slaves_per_master <= 2);
@@ -311,22 +380,58 @@ let test_inverted_invariant_shrinks_small () =
     check bool_t "seed regenerates the original scenario" true
       (Scenario.to_string (Gen.run ~seed:f.Prop.seed Scenario.gen)
       = Scenario.to_string f.Prop.original);
-    check bool_t "original still fails" true
-      (inverted_checker.Invariant.check (Harness.run f.Prop.original) <> Ok ());
-    check bool_t "shrunk still fails" true
-      (inverted_checker.Invariant.check (Harness.run s) <> Ok ());
-    let contains haystack needle =
-      let rec go i =
-        if i + String.length needle > String.length haystack then false
-        else String.sub haystack i (String.length needle) = needle || go (i + 1)
-      in
-      go 0
-    in
+    check bool_t "original still fails" true (fails_somewhere inverted_checker f.Prop.original);
+    check bool_t "shrunk still fails" true (fails_somewhere inverted_checker s);
     check bool_t "replay hint names the seed" true
-      (contains (Fuzz.replay_hint f) (Printf.sprintf "--seed %Ld" f.Prop.seed));
-    let report = Format.asprintf "%a" Fuzz.pp_outcome (Fuzz.Failed f) in
+      (contains replay (Printf.sprintf "--seed %Ld" f.Prop.seed));
+    let report = Format.asprintf "%a" Fuzz.pp_outcome outcome in
     check bool_t "report shows the replay line" true (contains report "replay:");
     check bool_t "report shows the violation" true (contains report "a read was accepted")
+
+(* A pinned campaign's replay line carries its pins: running exactly
+   what the line says fails again on the same scenario, while the
+   unpinned generator draws a different one from that seed. *)
+let test_pinned_replay_reproduces () =
+  let campaign ~seed ~runs ?shards ?slaves_per_master invariants =
+    Fuzz.run ~runs ~max_shrink_steps:0 ~invariants ?shards ?slaves_per_master ~seed ()
+  in
+  match campaign ~seed:7L ~runs:50 ~shards:2 ~slaves_per_master:1 [ inverted_checker ] with
+  | Fuzz.Passed _ -> Alcotest.fail "inverted invariant should fail fast"
+  | Fuzz.Failed { failure = f; replay } -> (
+    List.iter
+      (fun pin -> check bool_t ("replay carries " ^ pin) true (contains replay pin))
+      [ "--shards 2"; "--replication-factor 1"; "--invariant inverted" ];
+    let rec flags = function
+      | flag :: value :: rest when String.length flag > 2 && String.sub flag 0 2 = "--" ->
+        (flag, value) :: flags rest
+      | _ :: rest -> flags rest
+      | [] -> []
+    in
+    let flags = flags (String.split_on_char ' ' replay) in
+    let int_flag name = Option.map int_of_string (List.assoc_opt name flags) in
+    let invariants =
+      List.filter_map
+        (fun (flag, name) ->
+          if flag <> "--invariant" then None
+          else
+            List.find_opt (fun c -> c.Invariant.name = name) (inverted_checker :: Invariant.all))
+        flags
+    in
+    match
+      campaign
+        ~seed:(Int64.of_string (List.assoc "--seed" flags))
+        ~runs:(Option.get (int_flag "--runs"))
+        ?shards:(int_flag "--shards")
+        ?slaves_per_master:(int_flag "--replication-factor")
+        invariants
+    with
+    | Fuzz.Passed _ -> Alcotest.failf "the replay line %S passed" replay
+    | Fuzz.Failed { failure = g; _ } ->
+      check string_t "replay regenerates the failing scenario"
+        (Scenario.to_string f.Prop.original) (Scenario.to_string g.Prop.original);
+      check bool_t "the pins matter" true
+        (Scenario.to_string (Gen.run ~seed:f.Prop.seed Scenario.gen)
+        <> Scenario.to_string f.Prop.original))
 
 let test_invariant_named () =
   (match Invariant.named [ "staleness"; "detection" ] with
@@ -380,6 +485,8 @@ let () =
           Alcotest.test_case "honest runs never accused" `Quick
             test_no_false_accusation_honest_runs;
           Alcotest.test_case "named lookup" `Quick test_invariant_named;
+          Alcotest.test_case "detection skips nonce-less replays" `Quick
+            test_detection_skips_replay_without_nonces;
         ] );
       ( "differential",
         [
@@ -392,5 +499,7 @@ let () =
         [
           Alcotest.test_case "inverted invariant shrinks small" `Quick
             test_inverted_invariant_shrinks_small;
+          Alcotest.test_case "pinned replay line reproduces" `Quick
+            test_pinned_replay_reproduces;
         ] );
     ]

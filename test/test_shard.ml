@@ -430,8 +430,8 @@ let sharded_scenario ?(faults = []) ~sys_seed () =
         ];
   }
 
-let test_run_sharded_honest_invariants () =
-  let results = Harness.run_sharded (sharded_scenario ~sys_seed:4321 ()) in
+let test_harness_honest_invariants () =
+  let results = Harness.run (sharded_scenario ~sys_seed:4321 ()) in
   check int_t "one result per shard" 3 (List.length results);
   List.iteri
     (fun i result ->
@@ -442,7 +442,7 @@ let test_run_sharded_honest_invariants () =
       | Error msg -> Alcotest.fail (Printf.sprintf "shard %d: %s" i msg))
     results
 
-let test_run_sharded_liar_invariants () =
+let test_harness_liar_invariants () =
   (* fault on slave 1 routes to shard 1; every shard must still satisfy
      the full invariant set, detection included *)
   let scenario =
@@ -458,7 +458,7 @@ let test_run_sharded_liar_invariants () =
         ]
       ()
   in
-  let results = Harness.run_sharded scenario in
+  let results = Harness.run scenario in
   check int_t "one result per shard" 3 (List.length results);
   List.iteri
     (fun i result ->
@@ -470,18 +470,6 @@ let test_run_sharded_liar_invariants () =
       | Ok () -> ()
       | Error msg -> Alcotest.fail (Printf.sprintf "shard %d: %s" i msg))
     results
-
-let test_run_sharded_k1_degenerate () =
-  (* n_shards = 1 must take the classic single-system path: same
-     digest as a direct Harness.run of the same scenario *)
-  let scenario = { (sharded_scenario ~sys_seed:99 ()) with Scenario.n_shards = 1 } in
-  match Harness.run_sharded scenario with
-  | [ result ] ->
-    check string_t "identical stream to Harness.run"
-      (Harness.events_digest (Harness.run scenario))
-      (Harness.events_digest result)
-  | results ->
-    Alcotest.fail (Printf.sprintf "expected 1 result, got %d" (List.length results))
 
 (* ---------------- the parallel scheduler ----------------
 
@@ -578,7 +566,7 @@ let test_parallel_chaos_liar_identical () =
         (List.map (fun (a, b, c, s) -> ((a, b), (c, s))) (rebalances d)))
     results
 
-let test_run_sharded_domains_identical () =
+let test_harness_domains_identical () =
   (* The harness path end to end, faults and chaos included: every
      [domains] setting yields the same per-shard digests. *)
   let scenario =
@@ -599,7 +587,7 @@ let test_run_sharded_domains_identical () =
     }
   in
   let digests domains =
-    List.map Harness.events_digest (Harness.run_sharded ~domains scenario)
+    List.map Harness.events_digest (Harness.run ~domains scenario)
   in
   let seq = digests 0 in
   check int_t "one digest per shard" 3 (List.length seq);
@@ -674,15 +662,13 @@ let () =
           Alcotest.test_case "identical under chaos and liar" `Quick
             test_parallel_chaos_liar_identical;
           Alcotest.test_case "harness digests identical per domains" `Quick
-            test_run_sharded_domains_identical;
+            test_harness_domains_identical;
         ] );
       ( "fuzz_path",
         [
           Alcotest.test_case "per-shard invariants (honest)" `Quick
-            test_run_sharded_honest_invariants;
+            test_harness_honest_invariants;
           Alcotest.test_case "per-shard invariants (liar)" `Quick
-            test_run_sharded_liar_invariants;
-          Alcotest.test_case "K=1 degenerates to classic run" `Quick
-            test_run_sharded_k1_degenerate;
+            test_harness_liar_invariants;
         ] );
     ]
