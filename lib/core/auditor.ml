@@ -175,9 +175,11 @@ let note_suspicion t ~slave ~amount =
    volume stays near the uniform budget ([audit_fraction]).  Quarantined
    slaves are audited at 100% (probation); everyone else is clamped to
    no less than [suspicion_floor *. audit_fraction] so an attacker that
-   keeps its own score clean is still sampled. *)
+   keeps its own score clean is still sampled.  A full budget leaves
+   nothing to redistribute: every read is re-executed, as the paper
+   requires, whatever the scores. *)
 let adaptive_probability t ~slave =
-  if is_quarantined t ~slave then 1.0
+  if is_quarantined t ~slave || t.config.Config.audit_fraction >= 1.0 then 1.0
   else begin
     let base = t.config.Config.audit_fraction in
     let total, n =

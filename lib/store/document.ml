@@ -8,6 +8,7 @@ let of_fields pairs =
   List.fold_left (fun acc (name, v) -> Field_map.add name v acc) Field_map.empty pairs
 
 let fields t = Field_map.bindings t
+let fold t ~init ~f = Field_map.fold (fun name v acc -> f acc name v) t init
 let get t name = Field_map.find_opt name t
 let set t name v = Field_map.add name v t
 let remove t name = Field_map.remove name t

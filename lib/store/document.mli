@@ -10,6 +10,9 @@ val of_fields : (string * Value.t) list -> t
 val fields : t -> (string * Value.t) list
 (** Sorted by field name. *)
 
+val fold : t -> init:'a -> f:('a -> string -> Value.t -> 'a) -> 'a
+(** Folds the fields in {!fields} order without building the list. *)
+
 val get : t -> string -> Value.t option
 val set : t -> string -> Value.t -> t
 val remove : t -> string -> t

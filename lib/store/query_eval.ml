@@ -84,12 +84,10 @@ let execute store (q : Query.t) =
       let scanned, ms =
         Store.fold_selector store from ~init:(0, []) ~f:(fun (n, acc) key doc ->
             let acc =
-              List.fold_left
-                (fun acc (field, v) ->
+              Document.fold doc ~init:acc ~f:(fun acc field v ->
                   match v with
                   | Value.String s when Regex.matches re s -> (key, field, s) :: acc
                   | _ -> acc)
-                acc (Document.fields doc)
             in
             (n + 1, acc))
       in

@@ -218,6 +218,47 @@ let compile_nfa node =
   List.iter (fun (s, t) -> eps.(s) <- t :: eps.(s)) b.eps_edges;
   (char_edges, eps, start, accept, b.n_states)
 
+(* --- lazy DFA ----------------------------------------------------------- *)
+
+(* Matching runs the NFA through a lazily built DFA (Cox, "Regular
+   Expression Matching Can Be Simple And Fast"; the RE2 design).  A DFA
+   state is an epsilon-closed set of NFA states.  Its 256-entry
+   transition row starts unknown, and each entry is filled the first
+   time that byte is read in that state, so once the states an input
+   visits exist, matching costs one array load per byte and allocates
+   nothing.  A DFA spends at most [dfa_budget] bytes on its states; an
+   input that needs a state past the budget is matched by the NFA
+   simulation instead, which keeps every match linear in the input and
+   bounds a pattern's memory whatever its length. *)
+
+let dfa_budget = 128 * 1024
+
+(* A state's row (256 words), its membership key (a byte per NFA state)
+   and about 16 words of headers, record and index entry. *)
+let state_bytes ~n_states = n_states + (Sys.word_size / 8 * (256 + 16))
+
+(* Row entries are a state index or [unknown]; [transition] returns
+   [overflow] when the next state does not fit the budget. *)
+let unknown = -1
+let overflow = -2
+
+type dstate = {
+  members : string;  (* byte q is nonzero iff NFA state q is in the set *)
+  accepting : bool;
+  dead : bool;  (* the empty set *)
+  row : int array;  (* byte -> state, [unknown] until first read *)
+}
+
+type dfa = {
+  inject_start : bool;
+      (* unanchored search: the start state re-enters after every byte,
+         as in the NFA simulation *)
+  index : (string, int) Hashtbl.t;  (* [members] -> state *)
+  mutable states : dstate array;  (* state 0 is the start state *)
+  mutable count : int;
+  mutable bytes : int;  (* [count] states of [state_bytes] each *)
+}
+
 type t = {
   source : string;
   char_edges : (charset * int) list array;
@@ -227,13 +268,18 @@ type t = {
   n_states : int;
   anchored_start : bool;
   anchored_end : bool;
+  mutable search_dfa : dfa option;  (* injects the start state; built on first use *)
+  mutable anchored_dfa : dfa option;  (* for [^] patterns and [matches_exact] *)
 }
 
-let compile pattern =
+let compile_fresh pattern =
   let anchored_start = String.length pattern > 0 && pattern.[0] = '^' in
   let anchored_end =
+    (* A final [$] is an anchor unless it is escaped, i.e. unless an odd
+       number of backslashes precede it. *)
+    let rec backslashes i = if i >= 0 && pattern.[i] = '\\' then 1 + backslashes (i - 1) else 0 in
     let n = String.length pattern in
-    n > 0 && pattern.[n - 1] = '$' && (n < 2 || pattern.[n - 2] <> '\\')
+    n > 0 && pattern.[n - 1] = '$' && backslashes (n - 2) mod 2 = 0
   in
   let core =
     let lo = if anchored_start then 1 else 0 in
@@ -244,7 +290,50 @@ let compile pattern =
   let ast = parse_alt st in
   if st.pos <> String.length core then raise (Parse_error "trailing garbage (unbalanced ')'?)");
   let char_edges, eps, start, accept, n_states = compile_nfa ast in
-  { source = pattern; char_edges; eps; start; accept; n_states; anchored_start; anchored_end }
+  {
+    source = pattern;
+    char_edges;
+    eps;
+    start;
+    accept;
+    n_states;
+    anchored_start;
+    anchored_end;
+    search_dfa = None;
+    anchored_dfa = None;
+  }
+
+(* --- per-domain compile cache ------------------------------------------- *)
+
+(* Matching mutates a [t]'s DFAs, so a [t] never crosses domains: each
+   domain keeps its own table.  It keeps only successful compiles of
+   small patterns: at most [max_cached_length] bytes, compiling to at
+   most [max_cached_states] NFA states (nested [+] copies its operand,
+   so a short pattern can still build a large NFA).  The table is
+   emptied when it holds [cache_capacity] patterns.  A domain therefore
+   retains at most that many small NFAs, each with two DFAs of at most
+   [dfa_budget] bytes; any other pattern compiles afresh on every call. *)
+let cache_capacity = 16
+let max_cached_length = 256
+let max_cached_states = 1024
+
+let cache : (string, t) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+
+let compile pattern =
+  if String.length pattern > max_cached_length then compile_fresh pattern
+  else begin
+    let table = Domain.DLS.get cache in
+    match Hashtbl.find_opt table pattern with
+    | Some t -> t
+    | None ->
+      let t = compile_fresh pattern in
+      if t.n_states <= max_cached_states then begin
+        if Hashtbl.length table >= cache_capacity then Hashtbl.reset table;
+        Hashtbl.add table pattern t
+      end;
+      t
+  end
 
 let source t = t.source
 
@@ -299,6 +388,127 @@ let run t input ~anchored_start ~anchored_end =
   if (not !accepted) && anchored_end then accepted := current.(t.accept) && !i = n;
   !accepted
 
-let matches t input = run t input ~anchored_start:t.anchored_start ~anchored_end:t.anchored_end
+(* Adds [s] and its epsilon closure to the membership bytes. *)
+let mark t members s =
+  let rec go = function
+    | [] -> ()
+    | s :: rest ->
+      if Bytes.get members s <> '\000' then go rest
+      else begin
+        Bytes.set members s '\001';
+        go (List.rev_append t.eps.(s) rest)
+      end
+  in
+  go [ s ]
 
-let matches_exact t input = run t input ~anchored_start:true ~anchored_end:true
+(* The state for an epsilon-closed NFA-state set, built if new;
+   [overflow] when it does not fit the budget.  [members] is not
+   mutated after. *)
+let intern t d members =
+  let key = Bytes.unsafe_to_string members in
+  match Hashtbl.find_opt d.index key with
+  | Some s -> s
+  | None when d.bytes + state_bytes ~n_states:t.n_states > dfa_budget -> overflow
+  | None ->
+    let st =
+      {
+        members = key;
+        accepting = key.[t.accept] <> '\000';
+        dead = not (String.contains key '\001');
+        row = Array.make 256 unknown;
+      }
+    in
+    if d.count = Array.length d.states then begin
+      let grown = Array.make (max 8 (2 * d.count)) st in
+      Array.blit d.states 0 grown 0 d.count;
+      d.states <- grown
+    end;
+    let s = d.count in
+    d.states.(s) <- st;
+    d.count <- s + 1;
+    d.bytes <- d.bytes + state_bytes ~n_states:t.n_states;
+    Hashtbl.add d.index key s;
+    s
+
+(* Without room for even the start state, [count] stays 0 and every
+   input takes the NFA. *)
+let new_dfa t ~inject_start =
+  let d = { inject_start; index = Hashtbl.create 16; states = [||]; count = 0; bytes = 0 } in
+  let members = Bytes.make t.n_states '\000' in
+  mark t members t.start;
+  ignore (intern t d members : int);
+  d
+
+(* Fills the row entry of state [s] for byte [c]. *)
+let transition t d s c =
+  let from = d.states.(s).members in
+  let members = Bytes.make t.n_states '\000' in
+  for q = 0 to t.n_states - 1 do
+    if String.unsafe_get from q <> '\000' then
+      List.iter (fun (cs, target) -> if set_mem cs c then mark t members target) t.char_edges.(q)
+  done;
+  if d.inject_start then mark t members t.start;
+  let next = intern t d members in
+  if next <> overflow then d.states.(s).row.(Char.code c) <- next;
+  next
+
+let nfa_search t d input ~anchored_end =
+  run t input ~anchored_start:(not d.inject_start) ~anchored_end
+
+(* Same acceptance rule as [run]: without an end anchor the first
+   accepting state decides; with one, only the state after the last
+   byte counts. *)
+let rec scan t d input ~anchored_end s i =
+  if i = String.length input then anchored_end && d.states.(s).accepting
+  else begin
+    let c = String.unsafe_get input i in
+    let next =
+      let next = d.states.(s).row.(Char.code c) in
+      if next <> unknown then next else transition t d s c
+    in
+    if next = overflow then nfa_search t d input ~anchored_end
+    else begin
+      let st = d.states.(next) in
+      if st.accepting && not anchored_end then true
+      else if st.dead then false
+      else scan t d input ~anchored_end next (i + 1)
+    end
+  end
+
+let search t d input ~anchored_end =
+  if d.count = 0 then nfa_search t d input ~anchored_end
+  else (d.states.(0).accepting && not anchored_end) || scan t d input ~anchored_end 0 0
+
+let search_dfa t =
+  match t.search_dfa with
+  | Some d -> d
+  | None ->
+    let d = new_dfa t ~inject_start:true in
+    t.search_dfa <- Some d;
+    d
+
+let anchored_dfa t =
+  match t.anchored_dfa with
+  | Some d -> d
+  | None ->
+    let d = new_dfa t ~inject_start:false in
+    t.anchored_dfa <- Some d;
+    d
+
+let matches t input =
+  let d = if t.anchored_start then anchored_dfa t else search_dfa t in
+  search t d input ~anchored_end:t.anchored_end
+
+let matches_exact t input = search t (anchored_dfa t) input ~anchored_end:true
+
+let dfa_sum f t =
+  let get = function Some d -> f d | None -> 0 in
+  get t.search_dfa + get t.anchored_dfa
+
+let dfa_states = dfa_sum (fun d -> d.count)
+let dfa_bytes = dfa_sum (fun d -> d.bytes)
+
+module Nfa = struct
+  let matches t input = run t input ~anchored_start:t.anchored_start ~anchored_end:t.anchored_end
+  let matches_exact t input = run t input ~anchored_start:true ~anchored_end:true
+end

@@ -4,7 +4,7 @@ module Prng = Secrep_crypto.Prng
 module System = Secrep_core.System
 module Client = Secrep_core.Client
 module Security_level = Secrep_core.Security_level
-module Canonical = Secrep_store.Canonical
+module Stats = Secrep_sim.Stats
 
 type summary = {
   reads_completed : int;
@@ -28,7 +28,6 @@ type t = {
   mutable reports : Client.read_report list; (* newest first *)
   latencies : Histogram.t;
   mutable next_client : int;
-  mutable accepted_wrong : int;
   mutable double_checks : int;
   mutable immediate : int;
 }
@@ -45,7 +44,6 @@ let create system ~mix ~rng ?(level = Security_level.Normal) ?level_chooser
     reports = [];
     latencies = Histogram.create ~name:"driver.read_latency" ();
     next_client = 0;
-    accepted_wrong = 0;
     double_checks = 0;
     immediate = 0;
   }
@@ -64,16 +62,7 @@ let issue_read t =
       | Some _ -> t.immediate <- t.immediate + 1
       | None -> ());
       match report.Client.outcome with
-      | `Accepted result ->
-        Histogram.add t.latencies report.Client.latency;
-        let digest = Canonical.result_digest result in
-        (match
-           System.check_result t.system ~version:report.Client.version report.Client.query
-             ~digest
-         with
-        | Some false -> t.accepted_wrong <- t.accepted_wrong + 1
-        | Some true | None -> ())
-      | `Served_by_master _ -> Histogram.add t.latencies report.Client.latency
+      | `Accepted _ | `Served_by_master _ -> Histogram.add t.latencies report.Client.latency
       | `Gave_up -> ())
 
 let schedule_poisson t ~rate ~duration action =
@@ -123,7 +112,7 @@ let summary t =
     served_by_master =
       count (fun r ->
           match r.Client.outcome with `Served_by_master _ -> true | _ -> false);
-    accepted_wrong = t.accepted_wrong;
+    accepted_wrong = Stats.get (System.stats t.system) "system.accepted_wrong";
     double_checks = t.double_checks;
     immediate_catches = t.immediate;
     mean_latency = (if Histogram.is_empty t.latencies then 0.0 else Histogram.mean t.latencies);

@@ -1,13 +1,21 @@
 (** Open-loop workload driver: schedules read/write arrivals onto a
     {!Secrep_core.System} and accumulates the outcome counters the
-    experiments report. *)
+    experiments report.
+
+    A system is driven by exactly one driver, and reads reach it only
+    through that driver: {!summary}'s [accepted_wrong] is the system's
+    own oracle verdict count ([system.accepted_wrong]), which
+    {!Secrep_core.System.read} keeps for every accepted read, so each
+    read is labelled once. *)
 
 type summary = {
   reads_completed : int;
   reads_accepted : int;
   reads_gave_up : int;
   served_by_master : int;
-  accepted_wrong : int;  (** against the system oracle *)
+  accepted_wrong : int;
+      (** accepted reads the system oracle labelled wrong:
+          [system.accepted_wrong] of the driven system *)
   double_checks : int;
   immediate_catches : int;
   mean_latency : float;

@@ -280,6 +280,21 @@ let test_detection_skips_replay_without_nonces () =
        { result with Harness.scenario = { scenario with Scenario.read_nonces = true } }
     <> Ok ())
 
+(* Regression: with adaptive sampling at a full budget
+   ([audit_fraction = 1.0]), one slave's conviction lowered every other
+   slave's audit probability below 1, and a lying pledge from a slave
+   nobody suspected was sampled out.  Found by [fuzz --runs 1000
+   --shards 1] at seeds 100, 1000 and 3000; each line below is the
+   printed replay. *)
+let test_full_budget_adaptive_audits_every_read () =
+  List.iter
+    (fun seed ->
+      match Fuzz.run ~runs:1 ~shards:1 ~seed () with
+      | Fuzz.Passed _ -> ()
+      | Fuzz.Failed { replay; _ } as outcome ->
+        Alcotest.failf "%s\n%a" replay Fuzz.pp_outcome outcome)
+    [ 457L; 1654L; 3017L ]
+
 (* ---------------- Differential audit ---------------- *)
 
 (* The tentpole's correctness argument: replay each attacked run's
@@ -487,6 +502,8 @@ let () =
           Alcotest.test_case "named lookup" `Quick test_invariant_named;
           Alcotest.test_case "detection skips nonce-less replays" `Quick
             test_detection_skips_replay_without_nonces;
+          Alcotest.test_case "full-budget adaptive sampling audits every read" `Quick
+            test_full_budget_adaptive_audits_every_read;
         ] );
       ( "differential",
         [

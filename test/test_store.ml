@@ -110,25 +110,37 @@ let rec rx_to_string = function
   | Alt (a, b) -> "(" ^ rx_to_string a ^ "|" ^ rx_to_string b ^ ")"
   | Star a -> "(" ^ rx_to_string a ^ ")*"
 
-exception Ref_gave_up
-
-(* [ref_match rx s i k]: can rx consume a prefix of s starting at i,
-   continuing with [k] on the rest?  [depth] bounds the backtracking;
-   when the bound trips, the oracle abstains (Ref_gave_up) rather than
-   mis-reporting "no match". *)
+(* [ref_match_exact rx s]: does rx match all of s?  For each
+   sub-pattern and start offset it computes the offsets where a match
+   can end, memoised, so nested stars stay polynomial; a backtracking
+   reference takes exponential time on them. *)
 let ref_match_exact rx s =
   let n = String.length s in
-  let rec go rx i depth k =
-    if depth > 400 then raise Ref_gave_up;
-    match rx with
-    | Chr c -> i < n && s.[i] = c && k (i + 1)
-    | Seq (a, b) -> go a i (depth + 1) (fun j -> go b j (depth + 1) k)
-    | Alt (a, b) -> go a i (depth + 1) k || go b i (depth + 1) k
-    | Star a ->
-      k i
-      || go a i (depth + 1) (fun j -> if j > i then go (Star a) j (depth + 1) k else false)
+  let memo = Hashtbl.create 64 in
+  let rec ends rx i =
+    match Hashtbl.find_opt memo (rx, i) with
+    | Some e -> e
+    | None ->
+      let e =
+        match rx with
+        | Chr c -> if i < n && s.[i] = c then [ i + 1 ] else []
+        | Seq (a, b) -> List.sort_uniq compare (List.concat_map (fun j -> ends b j) (ends a i))
+        | Alt (a, b) -> List.sort_uniq compare (ends a i @ ends b i)
+        | Star a ->
+          let seen = Array.make (n + 1) false in
+          let rec visit j =
+            if not seen.(j) then begin
+              seen.(j) <- true;
+              List.iter visit (ends a j)
+            end
+          in
+          visit i;
+          List.filter (fun j -> seen.(j)) (List.init (n + 1) Fun.id)
+      in
+      Hashtbl.add memo (rx, i) e;
+      e
   in
-  go rx 0 0 (fun i -> i = n)
+  List.mem n (ends rx 0)
 
 let gen_rx =
   QCheck2.Gen.(
@@ -152,10 +164,142 @@ let prop_regex_vs_reference =
     QCheck2.Gen.(pair gen_rx gen_ab_string)
     (fun (rx, s) ->
       let pattern = rx_to_string rx in
-      let compiled = Regex.compile pattern in
-      match ref_match_exact rx s with
-      | expected -> Regex.matches_exact compiled s = expected
-      | exception Ref_gave_up -> true)
+      Regex.matches_exact (Regex.compile pattern) s = ref_match_exact rx s)
+
+(* The lazy DFA against the NFA simulation it replaced, which is kept as
+   [Regex.Nfa]: random patterns over the whole grammar (classes,
+   negation, escapes, [.], repetition, alternation, both anchors),
+   matched against inputs drawn from a wider alphabet than any pattern
+   mentions.  Each compiled pattern sees several inputs, so later
+   inputs run over DFA states earlier ones built. *)
+let gen_pattern =
+  let open QCheck2.Gen in
+  let atom =
+    oneofl
+      [ "a"; "b"; "c"; "."; "[ab]"; "[a-c]"; "[^a]"; "[^b-c]"; "\\d"; "\\w"; "\\s"; "\\.";
+        "\\$"; "\\\\"; "\\*"; "$"; "^"; "1" ]
+  in
+  let body =
+    sized @@ fix (fun self size ->
+        if size = 0 then atom
+        else
+          frequency
+            [
+              (3, atom);
+              (3, map2 ( ^ ) (self (size / 2)) (self (size / 2)));
+              (2, map2 (fun a b -> "(" ^ a ^ "|" ^ b ^ ")") (self (size / 2)) (self (size / 2)));
+              ( 2,
+                map2 (fun a op -> "(" ^ a ^ ")" ^ op) (self (size / 2)) (oneofl [ "*"; "+"; "?" ]) );
+            ])
+  in
+  map3 (fun start b end_ -> (if start then "^" else "") ^ b ^ if end_ then "$" else "") bool body bool
+
+let gen_subject =
+  QCheck2.Gen.(
+    string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; 'd'; '1'; ' '; '.'; '$'; '^'; '\\'; '*'; 'Z' ])
+      (int_bound 12))
+
+let prop_dfa_vs_nfa =
+  qtest ~count:500 "regex: lazy DFA agrees with the NFA on the full grammar"
+    QCheck2.Gen.(pair gen_pattern (list_size (int_range 1 8) gen_subject))
+    (fun (pattern, inputs) ->
+      match Regex.compile pattern with
+      | exception Regex.Parse_error _ -> QCheck2.assume_fail ()
+      | r ->
+        List.for_all
+          (fun s ->
+            Regex.matches r s = Regex.Nfa.matches r s
+            && Regex.matches_exact r s = Regex.Nfa.matches_exact r s)
+          inputs)
+
+(* "The 10th byte from the end is an a" needs 2^10 DFA states to scan,
+   and random input visits most of them, far past what the budget
+   holds, so matching falls back to the NFA mid-input. *)
+let test_regex_dfa_budget () =
+  let tail = String.concat "" (List.init 9 (fun _ -> "(a|b)")) in
+  let r = Regex.compile ("a" ^ tail ^ "$") in
+  let exact = Regex.compile ("(a|b)*a" ^ tail) in
+  let g = Prng.create ~seed:5L in
+  let noise () = String.init 3000 (fun _ -> if Prng.bool g then 'a' else 'b') in
+  List.iter
+    (fun (label, input, expected) ->
+      check bool_t (label ^ ": search") expected (Regex.matches r input);
+      check bool_t (label ^ ": NFA search") expected (Regex.Nfa.matches r input);
+      check bool_t (label ^ ": exact") expected (Regex.matches_exact exact input);
+      check bool_t (label ^ ": NFA exact") expected (Regex.Nfa.matches_exact exact input))
+    [
+      ("hit", noise () ^ "a" ^ String.make 9 'b', true);
+      ("miss", noise () ^ "b" ^ String.make 9 'a', false);
+      ("short hit", "a" ^ String.make 9 'b', true);
+      ("too short", String.make 9 'a', false);
+    ];
+  List.iter
+    (fun (label, re) ->
+      check bool_t (label ^ " DFA within its budget") true (Regex.dfa_bytes re <= Regex.dfa_budget);
+      (* One more state of this small pattern would cost under 4 KB. *)
+      check bool_t (label ^ " DFA is full") true (Regex.dfa_bytes re > Regex.dfa_budget - 4096);
+      check bool_t (label ^ " DFA stopped short of 2^10 states") true (Regex.dfa_states re < 1024))
+    [ ("search", r); ("anchored", exact) ]
+
+(* A DFA state also costs a byte per NFA state, so a long pattern fits
+   fewer states in the budget, and one whose start state alone is past
+   the budget matches by the NFA throughout. *)
+let test_regex_dfa_budget_long_pattern () =
+  let g = Prng.create ~seed:9L in
+  let letters ~alphabet n =
+    String.init n (fun _ -> Char.chr (Char.code 'a' + Prng.int g alphabet))
+  in
+  let words = "(" ^ String.concat "|" (List.init 400 (fun _ -> letters ~alphabet:4 8)) ^ ")" in
+  (* Patterns this long are not cached, so these are two values. *)
+  let search = Regex.compile words and exact = Regex.compile words in
+  List.iter
+    (fun s ->
+      check bool_t "search agrees with the NFA" (Regex.Nfa.matches search s)
+        (Regex.matches search s);
+      check bool_t "exact agrees with the NFA" (Regex.Nfa.matches_exact exact s)
+        (Regex.matches_exact exact s))
+    (List.init 300 (fun i -> letters ~alphabet:5 (if i mod 3 = 0 then 8 else 40)));
+  List.iter
+    (fun (label, re) ->
+      check bool_t (label ^ " DFA built states") true (Regex.dfa_states re > 0);
+      check bool_t (label ^ " DFA within its budget") true (Regex.dfa_bytes re <= Regex.dfa_budget))
+    [ ("search", search); ("anchored", exact) ];
+  (* Each [+] copies its operand: 3 (2^16 - 1) + 2 NFA states. *)
+  let huge = Regex.compile (List.fold_left (fun p _ -> "(" ^ p ^ ")+") "a" (List.init 16 Fun.id)) in
+  check bool_t "huge pattern finds a match" true (Regex.matches huge "xaaay");
+  check bool_t "and rejects" false (Regex.matches huge "xyz");
+  check bool_t "and matches exactly" true (Regex.matches_exact huge "aaaa");
+  check int_t "without a DFA state" 0 (Regex.dfa_states huge)
+
+(* [Regex.compile] caches per domain: a repeat is the same value,
+   malformed patterns are not cached, a full table is emptied, and each
+   domain has its own table. *)
+let test_regex_compile_cache () =
+  let a = Regex.compile "model [0-9]+" in
+  check bool_t "a repeat returns the cached matcher" true (Regex.compile "model [0-9]+" == a);
+  check bool_t "which still matches" true (Regex.matches a "the model 42 lamp");
+  check bool_t "and still rejects" false (Regex.matches a "model x");
+  let malformed i =
+    match Regex.compile (Printf.sprintf "((%d(" i) with
+    | exception Regex.Parse_error _ -> true
+    | (_ : Regex.t) -> false
+  in
+  check bool_t "malformed patterns raise" true (List.for_all malformed (List.init 1000 Fun.id));
+  (* Had those filled the table, it would have been emptied. *)
+  check bool_t "and are not cached" true (Regex.compile "model [0-9]+" == a);
+  let long = String.make 300 'a' in
+  check bool_t "a long pattern compiles afresh" true (Regex.compile long != Regex.compile long);
+  let other, recompiled =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let b = Regex.compile "model [0-9]+" in
+           for i = 1 to 1000 do
+             ignore (Regex.compile (Printf.sprintf "p%d" i) : Regex.t)
+           done;
+           (b, Regex.compile "model [0-9]+" != b)))
+  in
+  check bool_t "another domain compiles its own" true (other != a);
+  check bool_t "a full table is emptied" true recompiled
 
 (* ---------------- Value ---------------- *)
 
@@ -921,7 +1065,14 @@ let test_regex_anchor_corners () =
   check bool_t "^ anchors the search" false (m "^bc" "abc");
   check bool_t "$ anchors the search" false (m "ab$" "abc");
   check bool_t "both anchors" true (m "^abc$" "abc");
-  check bool_t "both anchors reject superstring" false (m "^abc$" "xabcx")
+  check bool_t "both anchors reject superstring" false (m "^abc$" "xabcx");
+  (* A final [$] is an anchor iff an even number of backslashes precede it. *)
+  check bool_t "a\\\\$ anchors after a literal backslash" true (m "a\\\\$" "xa\\");
+  check bool_t "a\\\\$ is not the text a\\$" false (m "a\\\\$" "a\\$");
+  check bool_t "a\\$ is the text a$" true (m "a\\$" "xa$y");
+  check bool_t "a\\$ does not anchor" false (m "a\\$" "xa");
+  check bool_t "a\\\\\\$ is the text a\\$" true (m "a\\\\\\$" "xa\\$y");
+  check bool_t "a\\\\\\$ does not anchor" false (m "a\\\\\\$" "xa\\")
 
 let test_regex_star_backtracking () =
   (* Patterns where a greedy/backtracking matcher must give back
@@ -1047,6 +1198,11 @@ let () =
           Alcotest.test_case "star give-back" `Quick test_regex_star_backtracking;
           Alcotest.test_case "class edges" `Quick test_regex_class_edges;
           prop_regex_vs_reference;
+          prop_dfa_vs_nfa;
+          Alcotest.test_case "DFA budget falls back to the NFA" `Quick test_regex_dfa_budget;
+          Alcotest.test_case "DFA budget holds for long patterns" `Quick
+            test_regex_dfa_budget_long_pattern;
+          Alcotest.test_case "per-domain compile cache" `Quick test_regex_compile_cache;
         ] );
       ( "value",
         [

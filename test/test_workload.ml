@@ -8,8 +8,11 @@ module Query = Secrep_store.Query
 module Oplog = Secrep_store.Oplog
 module Document = Secrep_store.Document
 module Value = Secrep_store.Value
+module Canonical = Secrep_store.Canonical
 module System = Secrep_core.System
 module Config = Secrep_core.Config
+module Client = Secrep_core.Client
+module Fault = Secrep_core.Fault
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -253,6 +256,49 @@ let test_driver_writes () =
   check bool_t "writes committed" true
     (Secrep_sim.Stats.get (System.stats system) "system.writes_committed_acked" > 5)
 
+(* [Driver] takes its wrong-accept count from the system's oracle.  It
+   must equal a relabelling of every accepted report against the oracle,
+   and the count pinned for this run. *)
+let test_driver_counts_wrong_accepts () =
+  let config =
+    {
+      Config.default with
+      Config.max_latency = 2.0;
+      keepalive_period = 0.5;
+      double_check_probability = 0.0;
+      audit_enabled = false;
+    }
+  in
+  let system =
+    System.create ~n_masters:2 ~slaves_per_master:2 ~n_clients:4 ~config
+      ~net:System.lan_net ~seed:81L ()
+  in
+  let g = Prng.create ~seed:82L in
+  let content = Catalog.product_catalog g ~n:40 in
+  System.load_content system content;
+  System.set_slave_behavior system ~slave:(System.slave_of_client system 0)
+    (Fault.Malicious { probability = 0.5; mode = Fault.Corrupt_result; from_time = 0.0 });
+  let keys = Array.of_list (List.map fst content) in
+  let mix = Mix.create ~rng:(Prng.split g) ~keys () in
+  let driver = Driver.create system ~mix ~rng:(Prng.split g) () in
+  Driver.run_reads driver ~rate:10.0 ~duration:30.0;
+  System.run_for system 120.0;
+  let s = Driver.summary driver in
+  let relabelled =
+    List.length
+      (List.filter
+         (fun r ->
+           match r.Client.outcome with
+           | `Accepted result ->
+             System.check_result system ~version:r.Client.version r.Client.query
+               ~digest:(Canonical.result_digest result)
+             = Some false
+           | `Served_by_master _ | `Gave_up -> false)
+         (Driver.reports driver))
+  in
+  check int_t "equals relabelling every report" relabelled s.Driver.accepted_wrong;
+  check int_t "equals the pinned count" 33 s.Driver.accepted_wrong
+
 let () =
   Alcotest.run "secrep_workload"
     [
@@ -283,5 +329,7 @@ let () =
         [
           Alcotest.test_case "end to end" `Quick test_driver_end_to_end;
           Alcotest.test_case "writes" `Quick test_driver_writes;
+          Alcotest.test_case "wrong accepts from the system oracle" `Quick
+            test_driver_counts_wrong_accepts;
         ] );
     ]
