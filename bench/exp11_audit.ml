@@ -125,19 +125,7 @@ let run ?(quick = false) fmt =
     "@.re-execution reduction: %sx   signature reduction: %sx   dedup hit rate: %s@."
     (Exp_common.f2 reexec_reduction)
     (Exp_common.f2 sig_reduction) (Exp_common.pct hit_rate);
-  match Sys.getenv_opt "SECREP_E11_JSON" with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\"experiment\": \"e11\", \"n_reads\": %d,\n\
-        \ \"baseline\": {\"reexecs\": %d, \"signatures\": %d},\n\
-        \ \"optimized\": {\"reexecs\": %d, \"signatures\": %d,\n\
-        \                \"dedup_hits\": %d, \"distinct_reexecs\": %d},\n\
-        \ \"reexec_reduction\": %.3f, \"signature_reduction\": %.3f,\n\
-        \ \"dedup_hit_rate\": %.4f}\n"
-        n_reads baseline.reexecs baseline.signatures optimized.reexecs
-        optimized.signatures optimized.dedup_hits optimized.distinct
-        reexec_reduction sig_reduction hit_rate;
-      close_out oc;
-      Format.fprintf fmt "wrote JSON summary to %s@." path
+  [
+    Exp_common.gate "dedup hits" ~value:(string_of_int optimized.dedup_hits)
+      ~threshold:"> 0" (optimized.dedup_hits > 0);
+  ]

@@ -175,35 +175,20 @@ let run ?(quick = false) fmt =
       ]
     rows;
   let tp k = (List.find (fun o -> o.k = k) results).throughput in
-  let monotone = tp 1 < tp 4 && tp 4 < tp 16 in
-  let all_detected = List.for_all (fun o -> o.detected = o.liars) results in
-  let within_budget =
-    List.for_all (fun o -> o.detected = 0 || o.max_detect <= budget) results
-  in
-  Format.fprintf fmt
-    "@.throughput monotone K=1->16: %b   all liars caught: %b   max detection \
-     within %.1fs budget: %b@."
-    monotone all_detected budget within_budget;
-  match Sys.getenv_opt "SECREP_E12_JSON" with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      let case o =
-        Printf.sprintf
-          "{\"k\": %d, \"issued\": %d, \"accepted\": %d, \"gave_up\": %d,\n\
-          \  \"throughput\": %.3f, \"liars\": %d, \"detected\": %d,\n\
-          \  \"mean_detection\": %.3f, \"max_detection\": %.3f}"
-          o.k o.issued o.accepted o.gave_up o.throughput o.liars o.detected
-          o.mean_detect o.max_detect
-      in
-      Printf.fprintf oc
-        "{\"experiment\": \"e12\", \"duration\": %.1f, \"offered_rate\": %.1f,\n\
-        \ \"pool\": %d, \"replication\": %d,\n\
-        \ \"detection_budget\": %.2f,\n\
-        \ \"monotone_throughput\": %b, \"all_detected\": %b, \"within_budget\": %b,\n\
-        \ \"cases\": [%s]}\n"
-        duration total_rate pool replication budget monotone all_detected
-        within_budget
-        (String.concat ",\n  " (List.map case results));
-      close_out oc;
-      Format.fprintf fmt "wrote JSON summary to %s@." path
+  let liars = List.fold_left (fun acc o -> acc + o.liars) 0 results in
+  let detected = List.fold_left (fun acc o -> acc + o.detected) 0 results in
+  let max_detect = List.fold_left (fun acc o -> Float.max acc o.max_detect) 0.0 results in
+  [
+    Exp_common.gate "throughput monotone K=1->16"
+      ~value:(Printf.sprintf "%.2f, %.2f, %.2f reads/s" (tp 1) (tp 4) (tp 16))
+      ~threshold:"strictly increasing"
+      (tp 1 < tp 4 && tp 4 < tp 16);
+    Exp_common.gate "all liars caught"
+      ~value:(Printf.sprintf "%d/%d" detected liars)
+      ~threshold:"all"
+      (List.for_all (fun o -> o.detected = o.liars) results);
+    Exp_common.gate "max detection within budget"
+      ~value:(Printf.sprintf "%.2fs" max_detect)
+      ~threshold:(Printf.sprintf "<= %.1fs" budget)
+      (List.for_all (fun o -> o.detected = 0 || o.max_detect <= budget) results);
+  ]

@@ -75,11 +75,8 @@ type outcome = {
   attacks_before : int;  (* attacker actions before detection *)
   launched : int;
   suppressed : int;
-  quarantines : int;
   false_accusations : int;
   audited : int;  (* realized audit budget *)
-  late : int;  (* pledges behind the audit cursor — weak replay signal *)
-  stale_rej : int;
 }
 
 let run_case ~mode:(name, fault_mode) ~adaptive ~audit_fraction ~lie_prob ~dc_p
@@ -117,7 +114,7 @@ let run_case ~mode:(name, fault_mode) ~adaptive ~audit_fraction ~lie_prob ~dc_p
   let first_convicted = ref None in
   let first_quarantine = ref None in
   let first_breaker = ref None in
-  let launched = ref 0 and suppressed = ref 0 and quarantines = ref 0 in
+  let launched = ref 0 and suppressed = ref 0 in
   let false_acc = ref [] in
   let note cell time = if !cell = None then cell := Some time in
   List.iter
@@ -131,9 +128,7 @@ let run_case ~mode:(name, fault_mode) ~adaptive ~audit_fraction ~lie_prob ~dc_p
         note first_convicted r.Trace.time
       | Event.Audit_conviction { slave; _ } | Event.Slave_excluded { slave; _ } ->
         false_acc := slave :: !false_acc
-      | Event.Slave_quarantined { slave = 0; _ } ->
-        incr quarantines;
-        note first_quarantine r.Trace.time
+      | Event.Slave_quarantined { slave = 0; _ } -> note first_quarantine r.Trace.time
       | Event.Breaker_opened { slave = 0; _ } -> note first_breaker r.Trace.time
       | Event.Attack_launched { slave = 0; _ } -> incr launched
       | Event.Attack_suppressed { slave = 0; _ } -> incr suppressed
@@ -185,12 +180,8 @@ let run_case ~mode:(name, fault_mode) ~adaptive ~audit_fraction ~lie_prob ~dc_p
     attacks_before = max !acts_launched !acts_lied;
     launched = !launched;
     suppressed = !suppressed;
-    quarantines = !quarantines;
     false_accusations = List.length !false_acc;
     audited = Auditor.audited (System.auditor system);
-    late = Auditor.late_pledges (System.auditor system);
-    stale_rej =
-      Secrep_sim.Stats.get (System.stats system) "client.stale_rejections";
   }
 
 let run ?(quick = false) fmt =
@@ -228,10 +219,6 @@ let run ?(quick = false) fmt =
            string_of_int o.false_accusations;
          ])
        hardened);
-  let all_detected = List.for_all (fun (_, o) -> o.detected) hardened in
-  let no_false = List.for_all (fun (_, o) -> o.false_accusations = 0) hardened in
-  Format.fprintf fmt "@.all attack modes detected: %b   zero false accusations: %b@."
-    all_detected no_false;
   (* Part 2: uniform vs adaptive at the same audit fraction, against
      the audit-evasive portfolio.  A modest write stream keeps the
      audit cursor moving so a frozen replica's pledges actually fall
@@ -247,20 +234,11 @@ let run ?(quick = false) fmt =
             ~dc_p:0.0 ~read_nonces:false ~write_rate:writes ~duration ~read_rate
             ~seed:(Int64.of_int (1000 + (i * 7919))))
     in
-    if Sys.getenv_opt "SECREP_E13_DEBUG" <> None then
-      List.iteri
-        (fun i o ->
-          Printf.eprintf
-            "debug %s adaptive=%b trial=%d detector=%s t=%.2f reads=%d audited=%d \
-             quar=%d late=%d stale_rej=%d\n%!"
-            name adaptive i o.detector o.detect_time o.reads_before o.audited
-            o.quarantines o.late o.stale_rej)
-        outs;
     let mean f = Exp_common.mean (List.map f outs) in
     ( mean (fun o -> float_of_int o.reads_before),
       mean (fun o -> float_of_int o.audited),
       List.length (List.filter (fun o -> o.detected) outs),
-      List.exists (fun o -> o.false_accusations > 0) outs )
+      List.length (List.filter (fun o -> o.false_accusations > 0) outs) )
   in
   let compared =
     List.map
@@ -268,7 +246,7 @@ let run ?(quick = false) fmt =
         let u_reads, u_audited, u_detected, u_false = mean_of ~adaptive:false mode in
         let a_reads, a_audited, a_detected, a_false = mean_of ~adaptive:true mode in
         ( name, u_reads, u_audited, u_detected, a_reads, a_audited, a_detected,
-          u_false || a_false ))
+          u_false + a_false ))
       evasive_modes
   in
   Exp_common.table fmt
@@ -301,49 +279,25 @@ let run ?(quick = false) fmt =
   let adaptive_mean =
     Exp_common.mean (List.map (fun (_, _, _, _, ar, _, _, _) -> ar) compared)
   in
-  let any_false = List.exists (fun (_, _, _, _, _, _, _, f) -> f) compared in
-  let strictly_better = adaptive_mean < uniform_mean in
-  Format.fprintf fmt
-    "@.mean reads-before-detection: uniform %.2f vs adaptive %.2f — adaptive strictly \
-     better: %b   zero false accusations: %b@."
-    uniform_mean adaptive_mean strictly_better (not any_false);
-  match Sys.getenv_opt "SECREP_E13_JSON" with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    let part1 =
-      String.concat ",\n  "
-        (List.map
-           (fun (name, o) ->
-             Printf.sprintf
-               "{\"mode\": \"%s\", \"detected\": %b, \"detector\": \"%s\", \
-                \"detect_time\": %.3f, \"reads_before\": %d, \"attacks_before\": %d, \
-                \"launched\": %d, \"suppressed\": %d, \"quarantines\": %d, \
-                \"false_accusations\": %d}"
-               name o.detected o.detector o.detect_time o.reads_before o.attacks_before
-               o.launched o.suppressed o.quarantines o.false_accusations)
-           hardened)
-    in
-    let part2 =
-      String.concat ",\n  "
-        (List.map
-           (fun (name, ur, ub, ud, ar, ab, ad, _) ->
-             Printf.sprintf
-               "{\"mode\": \"%s\", \"uniform_reads\": %.3f, \"uniform_audited\": %.1f, \
-                \"uniform_caught\": %d, \"adaptive_reads\": %.3f, \"adaptive_audited\": \
-                %.1f, \"adaptive_caught\": %d}"
-               name ur ub ud ar ab ad)
-           compared)
-    in
-    Printf.fprintf oc
-      "{\"experiment\": \"e13\", \"duration\": %.1f, \"trials\": %d, \"fraction\": %.2f,\n\
-      \ \"all_detected\": %b, \"zero_false_accusations\": %b,\n\
-      \ \"uniform_mean_reads\": %.3f, \"adaptive_mean_reads\": %.3f,\n\
-      \ \"adaptive_strictly_better\": %b,\n\
-      \ \"hardened\": [%s],\n\
-      \ \"compared\": [%s]}\n"
-      duration trials fraction all_detected
-      (no_false && not any_false)
-      uniform_mean adaptive_mean strictly_better part1 part2;
-    close_out oc;
-    Format.fprintf fmt "wrote JSON summary to %s@." path
+  let detected = List.length (List.filter (fun (_, o) -> o.detected) hardened) in
+  (* Runs, over both parts, in which an honest slave was accused. *)
+  let accusing_runs =
+    List.length (List.filter (fun (_, o) -> o.false_accusations > 0) hardened)
+    + List.fold_left (fun acc (_, _, _, _, _, _, _, f) -> acc + f) 0 compared
+  in
+  [
+    Exp_common.gate "all attack modes detected"
+      ~value:(Printf.sprintf "%d/%d" detected (List.length hardened))
+      ~threshold:"all"
+      (detected = List.length hardened);
+    Exp_common.gate "zero false accusations"
+      ~value:(Printf.sprintf "%d run(s) accusing an honest slave" accusing_runs)
+      ~threshold:"0"
+      (accusing_runs = 0);
+    Exp_common.gate "adaptive strictly better"
+      ~value:
+        (Printf.sprintf "mean reads-before-detection adaptive %.2f vs uniform %.2f"
+           adaptive_mean uniform_mean)
+      ~threshold:"adaptive < uniform"
+      (adaptive_mean < uniform_mean);
+  ]

@@ -149,41 +149,15 @@ let run ?(quick = false) fmt =
          k total_rate baseline.wall cores)
     ~header:[ "domains"; "wall (s)"; "speedup"; "events"; "accepted"; "vs sequential" ]
     rows;
-  let all_identical = List.for_all matches results in
-  let speedup_at w =
-    match List.find_opt (fun o -> o.domains = w) results with
-    | Some o -> o.speedup
-    | None -> 0.0
-  in
-  let speedup_gate_applies = cores >= 4 && List.mem 4 sweep in
-  let speedup_ok = (not speedup_gate_applies) || speedup_at 4 >= 1.5 in
-  Format.fprintf fmt
-    "@.all rows byte-identical to sequential: %b   speedup gate (>=1.5x at 4 domains, \
-     %d-core machine): %s@."
-    all_identical cores
-    (if not speedup_gate_applies then "skipped (needs 4+ cores)"
-     else if speedup_ok then "passed"
-     else "FAILED");
-  if not all_identical then
-    failwith "E14: parallel scheduler diverged from the sequential stream";
-  if not speedup_ok then failwith "E14: speedup below 1.5x at 4 domains on a 4+ core machine";
-  match Sys.getenv_opt "SECREP_E14_JSON" with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    let case o =
-      Printf.sprintf
-        "{\"domains\": %d, \"wall_s\": %.3f, \"speedup\": %.3f, \"events\": %d,\n\
-        \  \"accepted\": %d, \"digest_match\": %b}"
-        o.domains o.wall o.speedup o.events o.accepted (matches o)
-    in
-    Printf.fprintf oc
-      "{\"experiment\": \"e14\", \"k\": %d, \"duration\": %.1f, \"offered_rate\": %.1f,\n\
-      \ \"cores\": %d, \"baseline_wall_s\": %.3f,\n\
-      \ \"all_identical\": %b, \"speedup_gate_applies\": %b, \"speedup_ok\": %b,\n\
-      \ \"cases\": [%s]}\n"
-      k duration total_rate cores baseline.wall all_identical speedup_gate_applies
-      speedup_ok
-      (String.concat ",\n  " (List.map case results));
-    close_out oc;
-    Format.fprintf fmt "wrote JSON summary to %s@." path
+  let identical = List.length (List.filter matches results) in
+  let speedup_at_4 = (List.find (fun o -> o.domains = 4) results).speedup in
+  [
+    Exp_common.gate "all rows identical to sequential"
+      ~value:(Printf.sprintf "%d/%d rows" identical (List.length results))
+      ~threshold:"all"
+      (identical = List.length results);
+    Exp_common.gate "speedup at 4 domains on 4+ cores"
+      ~applies:(cores >= 4)
+      ~value:(Printf.sprintf "%.2fx" speedup_at_4)
+      ~threshold:">= 1.50x" (speedup_at_4 >= 1.5);
+  ]

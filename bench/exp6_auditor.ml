@@ -140,9 +140,6 @@ let run ?(quick = false) fmt =
       [ "final audit backlog (after the night trough)";
         string_of_int (Auditor.backlog auditor) ];
       [ "slaves caught"; string_of_int (Auditor.caught auditor) ];
-      [ "measured RSA-512 sign (ms, real impl)"; Exp_common.f3 (1000.0 *. sign_s) ];
-      [ "measured RSA-512 verify (ms, real impl)"; Exp_common.f3 (1000.0 *. verify_s) ];
-      [ "sign/verify asymmetry"; Exp_common.f2 (sign_s /. verify_s) ];
     ]
   in
   Exp_common.table fmt
@@ -150,6 +147,12 @@ let run ?(quick = false) fmt =
       "E6  Auditor throughput asymmetry and diurnal catch-up (two compressed days,\n\
       \    sinusoidal load 6x trough-to-peak; one auditor audits the whole fleet)"
     ~header:[ "metric"; "value" ]
+    ~wall_clock:
+      [
+        [ "measured RSA-512 sign (ms, real impl)"; Exp_common.f3 (1000.0 *. sign_s) ];
+        [ "measured RSA-512 verify (ms, real impl)"; Exp_common.f3 (1000.0 *. verify_s) ];
+        [ "sign/verify asymmetry"; Exp_common.f2 (sign_s /. verify_s) ];
+      ]
     rows;
   Format.fprintf fmt "@.Audit backlog over two days (E6 figure):@.";
   Timeseries.pp_ascii ~width:64 ~height:10 fmt series

@@ -3,7 +3,7 @@ module Config = Secrep_core.Config
 module Prng = Secrep_crypto.Prng
 module Catalog = Secrep_workload.Catalog
 
-let fprintf_row fmt ~widths cells =
+let row_line ~widths cells =
   let padded =
     List.map2
       (fun w cell ->
@@ -11,21 +11,46 @@ let fprintf_row fmt ~widths cells =
         if len >= w then cell else cell ^ String.make (w - len) ' ')
       widths cells
   in
-  Format.fprintf fmt "| %s |@." (String.concat " | " padded)
+  Printf.sprintf "| %s |" (String.concat " | " padded)
 
-let table fmt ~title ~header rows =
+let wall_clock_mark = "[wall-clock]"
+let wall_clock_line fmt line = Format.fprintf fmt "%s %s@." line wall_clock_mark
+
+let table fmt ~title ~header ?(wall_clock = []) rows =
   let widths =
     List.fold_left
       (fun acc row -> List.map2 (fun w cell -> max w (String.length cell)) acc row)
       (List.map String.length header)
-      rows
+      (rows @ wall_clock)
   in
   let total = List.fold_left ( + ) 0 widths + (3 * List.length widths) + 1 in
+  let print_row row = Format.fprintf fmt "%s@." (row_line ~widths row) in
   Format.fprintf fmt "@.%s@.%s@." title (String.make total '-');
-  fprintf_row fmt ~widths header;
+  print_row header;
   Format.fprintf fmt "%s@." (String.make total '-');
-  List.iter (fprintf_row fmt ~widths) rows;
+  List.iter print_row rows;
+  List.iter (fun row -> wall_clock_line fmt (row_line ~widths row)) wall_clock;
   Format.fprintf fmt "%s@." (String.make total '-')
+
+type gate = {
+  name : string;
+  value : string;
+  threshold : string;
+  ok : bool;
+  applies : bool;
+}
+
+let gate ?(applies = true) name ~value ~threshold ok =
+  { name; value; threshold; ok; applies }
+
+let pp_gate fmt ~experiment g =
+  Format.fprintf fmt "gate %s %s: %s (measured %s; threshold %s%s)@." experiment g.name
+    (if not g.applies then "SKIP" else if g.ok then "PASS" else "FAIL")
+    g.value g.threshold
+    (if g.applies then "" else "; does not apply on this machine")
+
+let exit_code gates =
+  if List.exists (fun g -> g.applies && not g.ok) gates then 1 else 0
 
 let f2 v = Printf.sprintf "%.2f" v
 let f3 v = Printf.sprintf "%.3f" v

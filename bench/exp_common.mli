@@ -1,11 +1,40 @@
 (** Shared plumbing for the experiment harness: table rendering,
-    standard system builders and workload helpers. *)
-
-val fprintf_row : Format.formatter -> widths:int list -> string list -> unit
+    wall-clock lines, gates, standard system builders and workload
+    helpers. *)
 
 val table :
-  Format.formatter -> title:string -> header:string list -> string list list -> unit
-(** Render an aligned ASCII table with a title line. *)
+  Format.formatter ->
+  title:string ->
+  header:string list ->
+  ?wall_clock:string list list ->
+  string list list ->
+  unit
+(** Render an aligned ASCII table with a title line; [wall_clock] rows
+    come last and print through {!wall_clock_line}. *)
+
+val wall_clock_mark : string
+
+val wall_clock_line : Format.formatter -> string -> unit
+(** Print a line that carries a wall-clock measurement, ending it with
+    {!wall_clock_mark}.  Everything else quick E1–E13 print depends
+    only on their seeds; the golden corpus (test/golden.ml) masks
+    exactly the marked lines. *)
+
+type gate = {
+  name : string;
+  value : string;  (** measured, rendered *)
+  threshold : string;  (** what the value must satisfy, rendered *)
+  ok : bool;
+  applies : bool;  (** false: this machine cannot measure it; prints SKIP, never fails *)
+}
+(** One claim an experiment checks.  [bench/main.exe] prints one line
+    per gate and exits with {!exit_code} of them all. *)
+
+val gate : ?applies:bool -> string -> value:string -> threshold:string -> bool -> gate
+val pp_gate : Format.formatter -> experiment:string -> gate -> unit
+
+val exit_code : gate list -> int
+(** 1 if any applicable gate failed, else 0. *)
 
 val f2 : float -> string
 (** Two-decimal rendering. *)

@@ -33,7 +33,6 @@ type t = {
   suspicion_floor : float;
   quarantine_threshold : float;
   quarantine_duration : float;
-  parallel_domains : int;
 }
 
 let default =
@@ -82,10 +81,6 @@ let default =
     suspicion_floor = 0.25;
     quarantine_threshold = 3.0;
     quarantine_duration = 30.0;
-    (* 0 = the sequential lockstep scheduler, bit-identical to the
-       seed.  K > 1 runs a sharded deployment's shards on up to K
-       domains; single-system runs ignore it. *)
-    parallel_domains = 0;
   }
 
 let validate t =
@@ -129,7 +124,6 @@ let validate t =
     err "suspicion_floor must be in [0,1]"
   else if t.quarantine_threshold <= 0.0 then err "quarantine_threshold must be positive"
   else if t.quarantine_duration < 0.0 then err "quarantine_duration must be non-negative"
-  else if t.parallel_domains < 0 then err "parallel_domains must be non-negative"
   else Ok ()
 
 let validate_exn t =

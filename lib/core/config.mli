@@ -107,14 +107,6 @@ type t = {
   quarantine_duration : float;
       (** Seconds a quarantined slave stays on probation (audited at
           100%) before its score is re-evaluated. *)
-  parallel_domains : int;
-      (** Domains a sharded deployment may use to advance its shards
-          in parallel.  0 (the default) and 1 both run the sequential
-          lockstep scheduler, bit-identical to the seed; [K > 1] runs
-          each slice of each shard on a bounded pool of [K] OCaml
-          domains while the coordinator merges the per-shard event
-          buffers back into the exact sequential stream order
-          ([(sim_time, shard, seq)]).  Single-system runs ignore it. *)
 }
 
 val default : t

@@ -194,11 +194,8 @@ let rebalance_slot t sh ~slot ~reason =
 let create ~n_shards ?(n_masters = 1) ?(replication_factor = 3) ?(n_clients = 2)
     ?pool_size ?(config = Config.default) ?net ?(seed = 1L) ?(items_per_shard = 0)
     ?audit_queue_total ?slice ?(auto_rebalance = true) ?provision_delay
-    ?track_ground_truth ?trace_capacity ?span_capacity ?domains () =
+    ?track_ground_truth ?trace_capacity ?span_capacity ?(domains = 0) () =
   if n_shards < 1 then invalid_arg "Deployment.create: n_shards must be at least 1";
-  let domains =
-    match domains with Some d -> d | None -> config.Config.parallel_domains
-  in
   if domains < 0 then invalid_arg "Deployment.create: domains must be non-negative";
   let slaves_per_master = max 1 (replication_factor / max 1 n_masters) in
   let replication = n_masters * slaves_per_master in

@@ -63,8 +63,8 @@ val create :
     against standalone systems that lack a re-homing operator.
     [trace_capacity] and [span_capacity] size each shard's trace and
     span rings (the deployment trace takes [trace_capacity] too).
-    [domains] (default {!Secrep_core.Config.t.parallel_domains}) caps
-    the worker-domain pool; 0 and 1 select the sequential scheduler. *)
+    [domains] (default 0) caps the worker-domain pool; 0 and 1 select
+    the sequential scheduler. *)
 
 (** {2 Seed derivation} — shared with the differential tests so the
     standalone reference systems can be built from identical inputs. *)

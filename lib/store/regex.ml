@@ -202,7 +202,13 @@ let rec build b node entry exit_ =
     let s2 = new_state b in
     build b inner s s2;
     b.eps_edges <- (s2, s) :: b.eps_edges
-  | Plus inner -> build b (Cat (inner, Star inner)) entry exit_
+  | Plus inner ->
+    (* One copy of [inner] with a back edge.  Building [inner] twice,
+       as [Cat (inner, Star inner)], doubles the NFA per nested [+]. *)
+    let s = new_state b in
+    let s2 = new_state b in
+    b.eps_edges <- (entry, s) :: (s2, s) :: (s2, exit_) :: b.eps_edges;
+    build b inner s s2
   | Opt inner ->
     b.eps_edges <- (entry, exit_) :: b.eps_edges;
     build b inner entry exit_

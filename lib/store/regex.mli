@@ -3,8 +3,9 @@
     Built from scratch: patterns parse to an AST and compile to a
     Thompson NFA, and matching runs a lazy DFA over that NFA — each DFA
     state is a set of NFA states, built the first time an input reaches
-    it.  Matching is linear in the input with no backtracking blow-up,
-    and a DFA spends at most {!dfa_budget} bytes on its states: an
+    it.  Compiling is linear in the pattern (each byte adds at most two
+    NFA states), matching is linear in the input with no backtracking
+    blow-up, and a DFA spends at most {!dfa_budget} bytes on its states: an
     input that needs a state past the budget is matched by simulating
     the NFA directly.
 

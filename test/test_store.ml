@@ -264,12 +264,30 @@ let test_regex_dfa_budget_long_pattern () =
       check bool_t (label ^ " DFA built states") true (Regex.dfa_states re > 0);
       check bool_t (label ^ " DFA within its budget") true (Regex.dfa_bytes re <= Regex.dfa_budget))
     [ ("search", search); ("anchored", exact) ];
-  (* Each [+] copies its operand: 3 (2^16 - 1) + 2 NFA states. *)
-  let huge = Regex.compile (List.fold_left (fun p _ -> "(" ^ p ^ ")+") "a" (List.init 16 Fun.id)) in
+  (* A 133,000-byte literal needs about 133,000 NFA states, so its start
+     state alone (a byte per NFA state plus 2,176) does not fit the
+     budget; the [a+] branch gives it short matches. *)
+  let huge = Regex.compile (letters ~alphabet:4 133_000 ^ "|a+") in
   check bool_t "huge pattern finds a match" true (Regex.matches huge "xaaay");
   check bool_t "and rejects" false (Regex.matches huge "xyz");
   check bool_t "and matches exactly" true (Regex.matches_exact huge "aaaa");
   check int_t "without a DFA state" 0 (Regex.dfa_states huge)
+
+(* [+] builds one copy of its operand, so stacked and nested [+] stay
+   small enough for the per-domain cache (at most 1,024 NFA states);
+   a copy of the operand per [+] would build about 196 k states here. *)
+let test_regex_plus_linear () =
+  let nested = List.fold_left (fun p _ -> "(" ^ p ^ ")+") "a" (List.init 16 Fun.id) in
+  List.iter
+    (fun pattern ->
+      check bool_t (pattern ^ " is cached") true (Regex.compile pattern == Regex.compile pattern);
+      let re = Regex.compile pattern in
+      List.iter
+        (fun s ->
+          check bool_t ("search " ^ s) (Regex.Nfa.matches re s) (Regex.matches re s);
+          check bool_t ("exact " ^ s) (Regex.Nfa.matches_exact re s) (Regex.matches_exact re s))
+        [ ""; "a"; "aaaa"; "xaay"; "b" ])
+    [ "a" ^ String.make 16 '+'; nested ]
 
 (* [Regex.compile] caches per domain: a repeat is the same value,
    malformed patterns are not cached, a full table is emptied, and each
@@ -1203,6 +1221,7 @@ let () =
           Alcotest.test_case "DFA budget holds for long patterns" `Quick
             test_regex_dfa_budget_long_pattern;
           Alcotest.test_case "per-domain compile cache" `Quick test_regex_compile_cache;
+          Alcotest.test_case "plus builds one operand copy" `Quick test_regex_plus_linear;
         ] );
       ( "value",
         [
