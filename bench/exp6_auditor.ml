@@ -23,7 +23,7 @@ module Timeseries = Secrep_sim.Timeseries
 module Prng = Secrep_crypto.Prng
 module Rsa = Secrep_crypto.Rsa
 module Query = Secrep_store.Query
-module Result_cache = Secrep_store.Result_cache
+module Audit_index = Secrep_store.Audit_index
 module Diurnal = Secrep_workload.Diurnal
 module Zipf = Secrep_workload.Zipf
 
@@ -134,7 +134,7 @@ let run ?(quick = false) fmt =
         Exp_common.f3 (1000.0 *. auditor_busy /. float_of_int (max 1 reads)) ];
       [ "auditor advantage (slave/auditor per-read CPU)";
         Exp_common.f2 (slave_busy /. Float.max 1e-9 auditor_busy) ];
-      [ "auditor cache hit rate"; Exp_common.pct (Result_cache.hit_rate cache) ];
+      [ "auditor cache hit rate"; Exp_common.pct (Audit_index.hit_rate cache) ];
       [ "peak audit backlog (pledges)";
         Exp_common.f2 (Option.value ~default:0.0 (Timeseries.max_value series)) ];
       [ "final audit backlog (after the night trough)";

@@ -18,7 +18,7 @@ module Sim = Secrep_sim.Sim
 module Work_queue = Secrep_sim.Work_queue
 module Prng = Secrep_crypto.Prng
 module Query = Secrep_store.Query
-module Result_cache = Secrep_store.Result_cache
+module Audit_index = Secrep_store.Audit_index
 module Zipf = Secrep_workload.Zipf
 
 (* -- (a) + (b): auditor cache and auditor count ----------------------- *)
@@ -63,9 +63,9 @@ let audit_run ~cache_capacity ~n_auditors ~audit_fraction ~n_reads ~seed =
     List.fold_left (fun acc a -> Float.max acc (Work_queue.busy_seconds (Auditor.work a))) 0.0
       auditors
   in
-  let hits = List.fold_left (fun acc a -> acc + Result_cache.hits (Auditor.cache a)) 0 auditors in
+  let hits = List.fold_left (fun acc a -> acc + Audit_index.hits (Auditor.cache a)) 0 auditors in
   let misses =
-    List.fold_left (fun acc a -> acc + Result_cache.misses (Auditor.cache a)) 0 auditors
+    List.fold_left (fun acc a -> acc + Audit_index.misses (Auditor.cache a)) 0 auditors
   in
   let hit_rate =
     if hits + misses = 0 then 0.0 else float_of_int hits /. float_of_int (hits + misses)

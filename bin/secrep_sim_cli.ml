@@ -22,7 +22,6 @@ module Trace = Secrep_sim.Trace
 module Event = Secrep_sim.Event
 module Export = Secrep_sim.Export
 module Prng = Secrep_crypto.Prng
-module Catalog = Secrep_workload.Catalog
 module Mix = Secrep_workload.Mix
 module Driver = Secrep_workload.Driver
 
@@ -319,7 +318,6 @@ let run_simulation ~shards ~domains ~masters ~replication_factor ~clients ~items
   end
   else begin
     let pledge_batch = config.Config.pledge_batch_size
-    and audit_dedup = config.Config.audit_dedup
     and read_nonces = config.Config.read_nonces
     and audit_adaptive = config.Config.audit_adaptive in
     Printf.printf "secure replication over untrusted hosts — simulation summary\n";
@@ -330,9 +328,9 @@ let run_simulation ~shards ~domains ~masters ~replication_factor ~clients ~items
     Printf.printf "  protocol: max_latency=%.2gs keepalive=%.2gs p=%.3g audit=%b\n"
       max_latency config.Config.keepalive_period config.Config.double_check_probability
       config.Config.audit_enabled;
-    if pledge_batch > 1 || audit_dedup then
-      Printf.printf "  batching: pledge_batch=%d window=%.2gs dedup=%b\n" pledge_batch
-        config.Config.pledge_batch_window audit_dedup;
+    if pledge_batch > 1 then
+      Printf.printf "  batching: pledge_batch=%d window=%.2gs\n" pledge_batch
+        config.Config.pledge_batch_window;
     if read_nonces || audit_adaptive then
       Printf.printf "  hardening: read_nonces=%b audit_adaptive=%b\n" read_nonces
         audit_adaptive;
@@ -359,10 +357,6 @@ let run_simulation ~shards ~domains ~masters ~replication_factor ~clients ~items
         Printf.printf "    wrong accepts    %d\n" s.Driver.accepted_wrong;
         Printf.printf "    audit            %d audited, backlog %d, caught %d\n"
           (Auditor.audited auditor) (Auditor.backlog auditor) (Auditor.caught auditor);
-        if audit_dedup then
-          Printf.printf "    audit dedup      %d distinct re-execution(s), %d memo hit(s)\n"
-            (Auditor.distinct_reexecs auditor)
-            (Auditor.dedup_hits auditor);
         if read_nonces then
           Printf.printf "    replay defense   %d nonce rejection(s)\n"
             (Stats.get stats "client.nonce_rejections");
@@ -458,16 +452,6 @@ let run_cmd =
       & info [ "pledge-batch-window" ]
           ~doc:"Max seconds a slave holds a partial pledge batch before flushing it.")
   in
-  let audit_dedup =
-    Arg.(
-      value
-      & flag
-      & info [ "audit-dedup" ]
-          ~doc:
-            "Deduplicate auditor re-execution: each distinct (version, query) is \
-             re-executed once and all matching pledges settle against the memoized \
-             digest.")
-  in
   let malicious =
     Arg.(
       value
@@ -558,7 +542,7 @@ let run_cmd =
         (fun masters slaves_per_master shards domains replication_factor clients items
              duration
              read_rate write_rate double_check_p max_latency keepalive audit pledge_batch
-             pledge_batch_window audit_dedup malicious lie_prob lie_mode adversary lie_from
+             pledge_batch_window malicious lie_prob lie_mode adversary lie_from
              read_nonces audit_adaptive seed csv trace_out trace_format metrics_out slo
              slo_out lineage_out trace_capacity span_capacity ->
           let lie_mode = match adversary with Some m -> m | None -> lie_mode in
@@ -575,7 +559,6 @@ let run_cmd =
                 audit_enabled = audit;
                 pledge_batch_size = pledge_batch;
                 pledge_batch_window;
-                audit_dedup;
                 read_nonces;
                 audit_adaptive;
               }
@@ -589,7 +572,7 @@ let run_cmd =
       $ masters $ slaves $ shards $ domains_arg $ replication_factor_arg $ clients $ items
       $ duration
       $ read_rate $ write_rate $ p $ max_latency $ keepalive $ audit $ pledge_batch
-      $ pledge_batch_window $ audit_dedup $ malicious $ lie_prob $ lie_mode $ adversary
+      $ pledge_batch_window $ malicious $ lie_prob $ lie_mode $ adversary
       $ lie_from $ read_nonces $ audit_adaptive $ seed $ csv $ trace_out $ trace_format
       $ metrics_out $ slo_flag $ slo_out $ lineage_out $ trace_capacity $ span_capacity)
   in
@@ -991,11 +974,11 @@ let chaos_cmd =
 
 (* -- attack campaign ----------------------------------------------------
 
-   [campaign] runs one seeded simulation per lie mode — the legacy
-   blunt liars plus the strategic adversaries — with the hardening
-   knobs on, and asserts each attack is neutralized (convicted,
-   quarantined, rejected or suppressed) with zero false accusations
-   anywhere.  CI runs this as the adversary smoke job. *)
+   [campaign] runs one seeded one-shard deployment per lie mode — the
+   legacy blunt liars plus the strategic adversaries — with the
+   hardening knobs on, and asserts each attack is neutralized
+   (convicted, quarantined, rejected or suppressed) with zero false
+   accusations anywhere.  CI runs this as the adversary smoke job. *)
 
 let campaign_default_modes =
   [ "corrupt"; "stale"; "bad-signature"; "omit"; "collude:ring"; "replay";
@@ -1003,6 +986,7 @@ let campaign_default_modes =
 
 type campaign_row = {
   c_mode : string;
+  c_liar : int;
   c_launched : int;
   c_suppressed : int;
   c_accused_at : float option;
@@ -1035,10 +1019,22 @@ let campaign_one ~mode ~masters ~slaves_per_master ~clients ~items ~duration ~re
           audit_adaptive;
         }
     in
-    let system =
-      System.create ~n_masters:masters ~slaves_per_master ~n_clients:clients ~config
-        ~seed:(Int64.of_int seed) ()
+    let d =
+      Deployment.create ~n_shards:1 ~n_masters:masters
+        ~replication_factor:(masters * slaves_per_master) ~n_clients:clients ~config
+        ~seed:(Int64.of_int seed) ~items_per_shard:items ()
     in
+    let system = Deployment.system d 0 in
+    (* The liar is the replica serving the most clients at setup (lowest
+       id on ties): replica 0 may serve no reads at all on this path. *)
+    let clients_of = Array.make (System.n_slaves system) 0 in
+    for c = 0 to clients - 1 do
+      let s = System.slave_of_client system c in
+      clients_of.(s) <- clients_of.(s) + 1
+    done;
+    let liar = ref 0 in
+    Array.iteri (fun s n -> if n > clients_of.(!liar) then liar := s) clients_of;
+    let liar = !liar in
     (* Capture the live stream: the trace ring may wrap on long runs,
        subscribers see everything. *)
     let lineage = Lineage.create () in
@@ -1046,27 +1042,20 @@ let campaign_one ~mode ~masters ~slaves_per_master ~clients ~items ~duration ~re
     Trace.on_emit (System.trace system) (fun r ->
         Lineage.observe lineage r;
         events_rev := r :: !events_rev);
-    let g = Prng.create ~seed:(Int64.of_int (seed + 1)) in
-    let content = Catalog.product_catalog g ~n:items in
-    System.load_content system content;
-    System.set_slave_behavior system ~slave:0
+    System.set_slave_behavior system ~slave:liar
       (Fault.Malicious { probability = lie_prob; mode = fault_mode; from_time = 0.0 });
-    let keys = Array.of_list (List.map fst content) in
-    let mix = Mix.create ~rng:(Prng.split g) ~keys () in
-    let driver = Driver.create system ~mix ~rng:(Prng.split g) () in
-    Driver.run_reads driver ~rate:read_rate ~duration;
-    if write_rate > 0.0 then Driver.run_writes driver ~rate:write_rate ~duration ~writer:0;
-    System.run_for system (duration +. (4.0 *. max_latency) +. 60.0);
+    let drivers = drive d ~seed ~read_rate ~write_rate ~duration in
+    Deployment.run_until d (duration +. (4.0 *. max_latency) +. 60.0);
     let stats = System.stats system in
-    let s = Driver.summary driver in
+    let s = Driver.summary drivers.(0) in
     let launched = ref 0 and suppressed = ref 0 and quarantines = ref 0 in
     let accusations = ref [] in
     List.iter
       (fun r ->
         match r.Trace.event with
-        | Event.Attack_launched { slave = 0; _ } -> incr launched
-        | Event.Attack_suppressed { slave = 0; _ } -> incr suppressed
-        | Event.Slave_quarantined { slave = 0; _ } -> incr quarantines
+        | Event.Attack_launched { slave; _ } when slave = liar -> incr launched
+        | Event.Attack_suppressed { slave; _ } when slave = liar -> incr suppressed
+        | Event.Slave_quarantined { slave; _ } when slave = liar -> incr quarantines
         | Event.Audit_conviction { slave; _ } | Event.Slave_excluded { slave; _ } ->
           accusations := (r.Trace.time, slave) :: !accusations
         | Event.Double_check { slave; outcome = Event.Mismatch; _ } ->
@@ -1076,18 +1065,18 @@ let campaign_one ~mode ~masters ~slaves_per_master ~clients ~items ~duration ~re
     let accused_at =
       List.fold_left
         (fun acc (t, sl) ->
-          if sl <> 0 then acc
+          if sl <> liar then acc
           else Some (match acc with None -> t | Some a -> Float.min a t))
         None !accusations
     in
     let false_acc =
       List.sort_uniq compare
-        (List.filter_map (fun (_, sl) -> if sl <> 0 then Some sl else None) !accusations)
+        (List.filter_map (fun (_, sl) -> if sl <> liar then Some sl else None) !accusations)
     in
     Lineage.finalize lineage;
     let row0 =
       List.find_opt
-        (fun (r : Lineage.slave_row) -> r.Lineage.slave = 0)
+        (fun (r : Lineage.slave_row) -> r.Lineage.slave = liar)
         (Lineage.slave_rows lineage)
     in
     let get = Stats.get stats in
@@ -1126,6 +1115,7 @@ let campaign_one ~mode ~masters ~slaves_per_master ~clients ~items ~duration ~re
     in
     {
       c_mode = mode;
+      c_liar = liar;
       c_launched = !launched;
       c_suppressed = !suppressed;
       c_accused_at = accused_at;
@@ -1145,6 +1135,7 @@ let json_of_campaign_row row =
   Obj
     [
       ("mode", Str row.c_mode);
+      ("liar", Int row.c_liar);
       ("launched", Int row.c_launched);
       ("suppressed", Int row.c_suppressed);
       ("accused_at", opt_num row.c_accused_at);
@@ -1180,9 +1171,9 @@ let run_campaign ~masters ~slaves_per_master ~clients ~items ~duration ~read_rat
             ~read_rate ~write_rate ~lie_prob ~read_nonces ~audit_adaptive
             ~seed:(seed + (i * 7919))
         in
-        Printf.printf "  %-16s launched %5d  suppressed %5d  accused-at %9s  \
+        Printf.printf "  %-16s liar %2d  launched %5d  suppressed %5d  accused-at %9s  \
                        reads-before %5s  quarantines %3d  %s\n"
-          row.c_mode row.c_launched row.c_suppressed
+          row.c_mode row.c_liar row.c_launched row.c_suppressed
           (match row.c_accused_at with Some t -> Printf.sprintf "%.1fs" t | None -> "-")
           (match row.c_reads_before with Some n -> string_of_int n | None -> "-")
           row.c_quarantines

@@ -76,7 +76,7 @@ let () =
   let auditor = System.auditor system in
   Printf.printf "auditor: %d pledges audited, %d cache hits, backlog %d\n"
     (Auditor.audited auditor)
-    (Secrep_store.Result_cache.hits (Auditor.cache auditor))
+    (Secrep_store.Audit_index.hits (Auditor.cache auditor))
     (Auditor.backlog auditor);
   Printf.printf "reads after exclusion keep flowing through the remaining %d edges\n"
     (System.n_slaves system

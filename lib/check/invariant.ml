@@ -641,8 +641,8 @@ let differential_audit =
   {
     name = "differential-audit";
     doc =
-      "the dedup/batched auditor and the naive per-pledge auditor emit identical \
-       verdicts over the run's recorded pledge stream";
+      "the production auditor's judgement and the naive per-pledge auditor emit \
+       identical verdicts over the run's recorded pledge stream";
     check =
       (fun result ->
         let module Audit_core = Secrep_core.Audit_core in
@@ -651,7 +651,7 @@ let differential_audit =
           Audit_core.run_naive ~slave_public:result.Harness.slave_public
             ~reexec:result.Harness.reexec pledges
         in
-        let dedup, _stats =
+        let dedup, _memo =
           Audit_core.run_dedup ~slave_public:result.Harness.slave_public
             ~reexec:result.Harness.reexec pledges
         in

@@ -51,9 +51,10 @@ val differential_audit : checker
 (** Replays the run's recorded pledge stream through
     {!Secrep_core.Audit_core.run_naive} (full per-pledge signature
     verification + re-execution) and {!Secrep_core.Audit_core.run_dedup}
-    (memoized batch-root verification + dedup index) and demands
-    verdict-for-verdict identical outcomes.  This is the differential
-    guarantee that batching and dedup are pure optimizations. *)
+    (the live auditor's judgement, with its batch-root and
+    re-execution memos) and demands verdict-for-verdict identical
+    outcomes.  This is the differential guarantee that batching and
+    the memos are pure optimizations. *)
 
 val recovery_convergence : checker
 (** A slave that rejoins ([Node_recovered]) holds, or catches up to,

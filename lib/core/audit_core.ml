@@ -1,12 +1,12 @@
-(* Offline audit drivers over a recorded pledge stream.
+(* Audit verdicts over pledges.
 
-   Both drivers implement the auditor's pure verdict logic — signature
-   check, then digest comparison against a re-execution — without the
-   work queue, lag cursor or sampling.  [run_naive] is the reference:
-   it fully verifies and re-executes every pledge.  [run_dedup] mirrors
-   the production fast path: memoized batch-root verification plus the
-   dedup index.  Differential testing demands they agree verdict for
-   verdict on any input. *)
+   [audit_pledge] is the auditor's per-pledge judgement, shared by the
+   live [Auditor] and the offline [run_dedup]: check the signature
+   (through the verified-roots memo for a batched pledge), look the
+   query up in the re-execution memo or re-execute it, then compare
+   digests.  [run_naive] is the reference: it fully verifies and
+   re-executes every pledge.  Differential testing demands the two
+   agree verdict for verdict on any input. *)
 
 module Merkle = Secrep_crypto.Merkle
 module Sig_scheme = Secrep_crypto.Sig_scheme
@@ -41,71 +41,78 @@ let run_naive ~slave_public ~reexec pledges =
       judge ~reexec pledge ~signature_ok)
     pledges
 
-type dedup_stats = { reexecs : int; dedup_hits : int; root_verifications : int }
+type memo = { roots : (int * string * string, bool) Hashtbl.t; index : Audit_index.t }
+
+let memo ?capacity () = { roots = Hashtbl.create 64; index = Audit_index.create ?capacity () }
+
+type signature_work = Full_verify | Root_verify | Root_cached
+type 'work query_work = Memo_hit | Reexecuted of 'work | Unanswerable
+
+type 'work judgement = {
+  verdict : verdict;
+  signature : signature_work;
+  query : 'work query_work option;
+}
+
+(* A [Batched] pledge costs a full verification only for the first
+   pledge carrying its root; every later one is a hash-only
+   inclusion-proof check against the memoized outcome. *)
+let check_signature memo ~slave_public (pledge : Pledge.t) =
+  match slave_public pledge.Pledge.slave_id with
+  | None -> (false, Full_verify)
+  | Some public -> begin
+    match pledge.Pledge.mode with
+    | Pledge.Single -> (Pledge.verify_signature ~slave_public:public pledge, Full_verify)
+    | Pledge.Batched { root; proof } -> begin
+      let proof_ok = Merkle.verify ~root ~leaf:(Pledge.signed_payload pledge) proof in
+      let key = (pledge.Pledge.slave_id, root, pledge.Pledge.signature) in
+      match Hashtbl.find_opt memo.roots key with
+      | Some ok -> (proof_ok && ok, Root_cached)
+      | None ->
+        let ok =
+          Sig_scheme.verify public
+            ~msg:(Pledge.batch_payload ~slave_id:pledge.Pledge.slave_id ~root)
+            ~signature:pledge.Pledge.signature
+        in
+        Hashtbl.add memo.roots key ok;
+        (proof_ok && ok, Root_verify)
+    end
+  end
+
+let audit_pledge memo ~slave_public ~reexec (pledge : Pledge.t) =
+  let signature_ok, signature = check_signature memo ~slave_public pledge in
+  if not signature_ok then { verdict = Bad_signature; signature; query = None }
+  else begin
+    let version = Pledge.version pledge and query = pledge.Pledge.query in
+    let honest, work =
+      match Audit_index.find memo.index ~version query with
+      | Some digest -> (Some digest, Memo_hit)
+      | None -> begin
+        match reexec ~version query with
+        | None -> (None, Unanswerable)
+        | Some (digest, work) ->
+          Audit_index.store memo.index ~version query ~digest;
+          (Some digest, Reexecuted work)
+      end
+    in
+    let verdict =
+      match honest with
+      | None -> Bad_signature (* unanswerable query incriminates nobody *)
+      | Some digest ->
+        if String.equal digest pledge.Pledge.result_digest then Ok_pledge else Caught
+    in
+    { verdict; signature; query = Some work }
+  end
 
 let run_dedup ~slave_public ~reexec pledges =
-  let idx = Audit_index.create () in
-  let verified_roots : (int * string * string, bool) Hashtbl.t = Hashtbl.create 64 in
-  let reexecs = ref 0 in
-  let root_verifications = ref 0 in
+  let memo = memo () in
+  let reexec ~version query = Option.map (fun digest -> (digest, ())) (reexec ~version query) in
   let verdicts =
-    List.map
-      (fun (pledge : Pledge.t) ->
-        let signature_ok =
-          match slave_public pledge.Pledge.slave_id with
-          | None -> false
-          | Some public -> begin
-            match pledge.Pledge.mode with
-            | Pledge.Single -> Pledge.verify_signature ~slave_public:public pledge
-            | Pledge.Batched { root; proof } ->
-              let proof_ok =
-                Merkle.verify ~root ~leaf:(Pledge.signed_payload pledge) proof
-              in
-              let key = (pledge.Pledge.slave_id, root, pledge.Pledge.signature) in
-              let root_ok =
-                match Hashtbl.find_opt verified_roots key with
-                | Some ok -> ok
-                | None ->
-                  incr root_verifications;
-                  let ok =
-                    Sig_scheme.verify public
-                      ~msg:(Pledge.batch_payload ~slave_id:pledge.Pledge.slave_id ~root)
-                      ~signature:pledge.Pledge.signature
-                  in
-                  Hashtbl.add verified_roots key ok;
-                  ok
-              in
-              proof_ok && root_ok
-          end
-        in
-        if not signature_ok then Bad_signature
-        else begin
-          let version = Pledge.version pledge in
-          let memoized =
-            match Audit_index.find idx ~version pledge.Pledge.query with
-            | Some digest -> Some digest
-            | None ->
-              (match reexec ~version pledge.Pledge.query with
-              | None -> None
-              | Some digest ->
-                incr reexecs;
-                Audit_index.store idx ~version pledge.Pledge.query ~digest;
-                Some digest)
-          in
-          match memoized with
-          | None -> Bad_signature
-          | Some honest_digest ->
-            if String.equal honest_digest pledge.Pledge.result_digest then Ok_pledge
-            else Caught
-        end)
-      pledges
+    List.fold_left
+      (fun acc pledge -> (audit_pledge memo ~slave_public ~reexec pledge).verdict :: acc)
+      [] pledges
   in
-  ( verdicts,
-    {
-      reexecs = !reexecs;
-      dedup_hits = Audit_index.hits idx;
-      root_verifications = !root_verifications;
-    } )
+  (List.rev verdicts, memo)
 
 type sampled = {
   audited : int;

@@ -1,12 +1,13 @@
-(** Offline audit drivers for differential testing.
+(** The auditor's per-pledge judgement, and offline drivers for
+    differential testing.
 
     A recorded pledge stream plus a re-execution oracle fully determine
     the auditor's verdicts; these drivers compute them two independent
     ways.  [run_naive] is the reference semantics (every pledge fully
-    signature-checked and re-executed); [run_dedup] is the production
-    fast path (memoized batch-root verification + dedup index).  The
-    [differential-audit] fuzz invariant asserts they emit identical
-    verdict lists on any scenario. *)
+    signature-checked and re-executed); [run_dedup] folds
+    {!audit_pledge}, the judgement the live {!Auditor} runs, over the
+    stream.  The [differential-audit] fuzz invariant asserts they emit
+    identical verdict lists on any scenario. *)
 
 type verdict = Ok_pledge | Caught | Bad_signature
 
@@ -23,16 +24,53 @@ val run_naive :
     convicts nobody and yields [Bad_signature], matching the live
     auditor's treatment of unexecutable queries). *)
 
-type dedup_stats = { reexecs : int; dedup_hits : int; root_verifications : int }
+type memo = {
+  roots : (int * string * string, bool) Hashtbl.t;
+      (** (slave, batch root, signature) -> did the root signature verify? *)
+  index : Secrep_store.Audit_index.t;  (** re-execution memo *)
+}
+(** What the auditor remembers across pledges. *)
+
+val memo : ?capacity:int -> unit -> memo
+(** Empty memo; [capacity] bounds the re-execution index
+    ({!Secrep_store.Audit_index.create}). *)
+
+type signature_work =
+  | Full_verify  (** a [Single] pledge, or no key for its slave *)
+  | Root_verify  (** the first pledge under a batch root: one full verification *)
+  | Root_cached  (** a later pledge under a known root: hash-only *)
+
+type 'work query_work =
+  | Memo_hit
+  | Reexecuted of 'work  (** what [reexec] reported besides the digest *)
+  | Unanswerable  (** [reexec] returned [None] *)
+
+type 'work judgement = {
+  verdict : verdict;
+  signature : signature_work;
+  query : 'work query_work option;  (** [None] when the signature failed *)
+}
+
+val audit_pledge :
+  memo ->
+  slave_public:(int -> Secrep_crypto.Sig_scheme.public option) ->
+  reexec:(version:int -> Secrep_store.Query.t -> (string * 'work) option) ->
+  Pledge.t ->
+  'work judgement
+(** Judge one pledge at its own version: check the signature (through
+    [memo.roots] for a batched pledge), then settle the query from
+    [memo.index] or re-execute it and memoize the digest, then compare
+    digests.  A failed signature or an unanswerable query yields
+    [Bad_signature]; a digest mismatch yields [Caught]. *)
 
 val run_dedup :
   slave_public:(int -> Secrep_crypto.Sig_scheme.public option) ->
   reexec:(version:int -> Secrep_store.Query.t -> string option) ->
   Pledge.t list ->
-  verdict list * dedup_stats
-(** Same verdict contract as {!run_naive}, computed through the dedup
-    index and memoized root verification; also reports how much work
-    the memoization saved. *)
+  verdict list * memo
+(** Same verdict contract as {!run_naive}, computed by folding
+    {!audit_pledge} over the stream with one fresh {!memo}, which is
+    returned so callers can see how much work it saved. *)
 
 type sampled = {
   audited : int;  (** pledges the sampler chose to audit *)

@@ -11,12 +11,7 @@ module Oplog = Secrep_store.Oplog
 module Query = Secrep_store.Query
 module Query_eval = Secrep_store.Query_eval
 module Canonical = Secrep_store.Canonical
-module Result_cache = Secrep_store.Result_cache
 module Audit_index = Secrep_store.Audit_index
-module Merkle = Secrep_crypto.Merkle
-module Sig_scheme = Secrep_crypto.Sig_scheme
-
-type audit_verdict = Pledge_ok | Slave_caught | Bad_pledge_signature
 
 (* Per-slave suspicion: an exponentially-decayed accumulator of weak
    signals (late pledges, nonce rejects, double-check mismatches,
@@ -38,12 +33,7 @@ type t = {
   trace : Trace.t option;
   spans : Span.t option;
   store : Store.t; (* lags the masters *)
-  cache : Result_cache.t;
-  dedup : Audit_index.t option; (* Some iff config.audit_dedup *)
-  (* (slave, root, signature) -> did the root signature verify?  Each
-     distinct batch root costs one full verification; every further
-     pledge under it is a hash-only proof check. *)
-  verified_roots : (int * string * string, bool) Hashtbl.t;
+  memo : Audit_core.memo; (* verified batch roots + re-execution memo *)
   work : Work_queue.t;
   slave_public : int -> Secrep_crypto.Sig_scheme.public option;
   report : Pledge.t -> unit;
@@ -81,9 +71,7 @@ let create sim ~config ~stats ~rng ~slave_public ~report ?trace:trace_buf ?spans
       trace = trace_buf;
       spans;
       store = Store.create ();
-      cache = Result_cache.create ~capacity:config.Config.audit_cache_capacity ();
-      dedup = (if config.Config.audit_dedup then Some (Audit_index.create ()) else None);
-      verified_roots = Hashtbl.create 64;
+      memo = Audit_core.memo ~capacity:config.Config.audit_cache_capacity ();
       work = Work_queue.create sim ();
       slave_public;
       report;
@@ -108,11 +96,9 @@ let audited t = t.audited
 let caught t = t.caught
 let late_pledges t = t.late
 let overload_drops t = t.overload_drops
-let cache t = t.cache
+let cache t = t.memo.Audit_core.index
 let work t = t.work
 let backlog_series t = t.backlog_series
-let dedup_hits t = match t.dedup with Some d -> Audit_index.hits d | None -> 0
-let distinct_reexecs t = match t.dedup with Some d -> Audit_index.distinct d | None -> 0
 
 let note_backlog t =
   Timeseries.record t.backlog_series ~time:(Sim.now t.sim) (float_of_int t.backlog)
@@ -223,9 +209,7 @@ let rec pump t =
         Store.apply_entry t.store entry;
         t.committed <- rest;
         Hashtbl.remove t.pending current;
-        (match t.dedup with
-        | Some idx -> Audit_index.drop_version idx ~version:current
-        | None -> ());
+        Audit_index.clear t.memo.Audit_core.index;
         emit t (Event.Audit_advance { version = current + 1 });
         pump t
       | (entry, commit_time) :: _ when entry.Oplog.version = current + 1 ->
@@ -252,7 +236,7 @@ and audit_one t pledge =
            whole stay on the audit work queue. *)
         span t ~start:submitted ~duration:(Sim.now t.sim -. submitted) "audit";
         (match verdict with
-        | Slave_caught ->
+        | Audit_core.Caught ->
           t.caught <- t.caught + 1;
           Stats.incr t.stats "auditor.caught";
           note_suspicion t ~slave:pledge.Pledge.slave_id ~amount:2.0;
@@ -260,100 +244,41 @@ and audit_one t pledge =
             (Event.Audit_conviction
                { slave = pledge.Pledge.slave_id; version = Pledge.version pledge });
           t.report pledge
-        | Bad_pledge_signature -> Stats.incr t.stats "auditor.bad_signatures"
-        | Pledge_ok -> ());
+        | Audit_core.Bad_signature -> Stats.incr t.stats "auditor.bad_signatures"
+        | Audit_core.Ok_pledge -> ());
         t.pumping <- false;
         pump t)
   in
-  (* Signature check first: an unsigned "pledge" incriminates nobody.
-     A [Single] pledge costs one full verification.  A [Batched] pledge
-     costs a full verification only for the first pledge carrying its
-     root; every later one is a hash-only inclusion-proof check against
-     the memoized outcome. *)
-  let signature_ok, sig_cost =
-    match t.slave_public pledge.Pledge.slave_id with
-    | None -> (false, t.config.Config.verify_cost)
-    | Some public -> begin
-      match pledge.Pledge.mode with
-      | Pledge.Single ->
-        (Pledge.verify_signature ~slave_public:public pledge, t.config.Config.verify_cost)
-      | Pledge.Batched { root; proof } ->
-        let proof_ok = Merkle.verify ~root ~leaf:(Pledge.signed_payload pledge) proof in
-        let key = (pledge.Pledge.slave_id, root, pledge.Pledge.signature) in
-        let root_ok, cost =
-          match Hashtbl.find_opt t.verified_roots key with
-          | Some ok ->
-            Stats.incr t.stats "auditor.root_sig_hits";
-            (ok, 1e-6)
-          | None ->
-            let ok =
-              Sig_scheme.verify public
-                ~msg:(Pledge.batch_payload ~slave_id:pledge.Pledge.slave_id ~root)
-                ~signature:pledge.Pledge.signature
-            in
-            Hashtbl.add t.verified_roots key ok;
-            Stats.incr t.stats "auditor.root_verifications";
-            (ok, t.config.Config.verify_cost)
-        in
-        (proof_ok && root_ok, cost)
-    end
+  (* The pledge is for the version under audit, which [t.store] holds. *)
+  let reexec ~version:_ query =
+    match Query_eval.execute t.store query with
+    | Error _ -> None
+    | Ok { result; scanned } -> Some (Canonical.result_digest result, scanned)
   in
-  if not signature_ok then finish Bad_pledge_signature sig_cost
-  else begin
-    let query = pledge.Pledge.query in
-    let version = audit_version t in
-    let settle ~digest ~reexec_cost =
-      let verdict =
-        if String.equal digest pledge.Pledge.result_digest then Pledge_ok else Slave_caught
-      in
-      finish verdict (sig_cost +. reexec_cost)
-    in
-    match t.dedup with
-    | Some idx -> begin
-      (* Dedup: each distinct (version, query) re-executes once; every
-         repeat settles against the memoized digest. *)
-      match Audit_index.find idx ~version query with
-      | Some digest ->
-        Stats.incr t.stats "auditor.dedup_hits";
-        emit t
-          (Event.Audit_dedup_hit { slave = pledge.Pledge.slave_id; version });
-        settle ~digest ~reexec_cost:1e-6
-      | None -> begin
-        match Query_eval.execute t.store query with
-        | Error _ -> finish Bad_pledge_signature sig_cost
-        | Ok { result; scanned } ->
-          let digest = Canonical.result_digest result in
-          Audit_index.store idx ~version query ~digest;
-          Result_cache.store t.cache ~version query ~digest;
-          Stats.incr t.stats "auditor.reexecutions";
-          Stats.incr t.stats "auditor.distinct_reexecs";
-          settle ~digest
-            ~reexec_cost:
-              (Query_eval.cost_seconds ~scanned ~cost_class:(Query.cost_class query)
-                 ~per_doc:t.config.Config.per_doc_cost)
-      end
-    end
-    | None -> begin
-      match Result_cache.find t.cache ~version query with
-      | Some digest ->
-        (* Cache hit: just compare digests — the "query optimization
-           mechanisms (cache results in the simplest case)" of §3.4. *)
-        Stats.incr t.stats "auditor.cache_hits";
-        settle ~digest ~reexec_cost:1e-6
-      | None -> begin
-        match Query_eval.execute t.store query with
-        | Error _ -> finish Bad_pledge_signature sig_cost
-        | Ok { result; scanned } ->
-          let digest = Canonical.result_digest result in
-          Result_cache.store t.cache ~version query ~digest;
-          Stats.incr t.stats "auditor.reexecutions";
-          settle ~digest
-            ~reexec_cost:
-              (Query_eval.cost_seconds ~scanned ~cost_class:(Query.cost_class query)
-                 ~per_doc:t.config.Config.per_doc_cost)
-      end
-    end
-  end
+  let j = Audit_core.audit_pledge t.memo ~slave_public:t.slave_public ~reexec pledge in
+  let sig_cost =
+    match j.Audit_core.signature with
+    | Audit_core.Full_verify -> t.config.Config.verify_cost
+    | Audit_core.Root_verify ->
+      Stats.incr t.stats "auditor.root_verifications";
+      t.config.Config.verify_cost
+    | Audit_core.Root_cached ->
+      Stats.incr t.stats "auditor.root_sig_hits";
+      1e-6
+  in
+  match j.Audit_core.query with
+  | None | Some Audit_core.Unanswerable -> finish j.Audit_core.verdict sig_cost
+  | Some Audit_core.Memo_hit ->
+    (* Memo hit: just compare digests — the "query optimization
+       mechanisms (cache results in the simplest case)" of §3.4. *)
+    Stats.incr t.stats "auditor.cache_hits";
+    finish j.Audit_core.verdict (sig_cost +. 1e-6)
+  | Some (Audit_core.Reexecuted scanned) ->
+    Stats.incr t.stats "auditor.reexecutions";
+    finish j.Audit_core.verdict
+      (sig_cost
+      +. Query_eval.cost_seconds ~scanned ~cost_class:(Query.cost_class pledge.Pledge.query)
+           ~per_doc:t.config.Config.per_doc_cost)
 
 let submit_pledge t pledge =
   let version = Pledge.version pledge in

@@ -8,12 +8,14 @@
     version-v read (§3.4).
 
     Its throughput advantages over slaves are modelled exactly as the
-    paper lists them: no signing, no client replies, a result cache,
-    and work spread into idle periods via its own queue. *)
+    paper lists them: no signing, no client replies, a result cache
+    (one re-execution memo for the version under audit, bounded by
+    [Config.audit_cache_capacity]), and work spread into idle periods
+    via its own queue.  Each pledge is judged by
+    {!Audit_core.audit_pledge}, the function the differential oracle
+    tests. *)
 
 type t
-
-type audit_verdict = Pledge_ok | Slave_caught | Bad_pledge_signature
 
 val create :
   Secrep_sim.Sim.t ->
@@ -54,16 +56,10 @@ val late_pledges : t -> int
 val overload_drops : t -> int
 (** Pledges shed because the bounded intake queue was full. *)
 
-val cache : t -> Secrep_store.Result_cache.t
+val cache : t -> Secrep_store.Audit_index.t
+(** The re-execution memo; its hits and misses count settled pledges. *)
+
 val work : t -> Secrep_sim.Work_queue.t
-
-val dedup_hits : t -> int
-(** Pledges settled from the dedup index without re-execution; 0 when
-    [Config.audit_dedup] is off. *)
-
-val distinct_reexecs : t -> int
-(** Distinct (version, query) re-executions recorded by the dedup
-    index; 0 when [Config.audit_dedup] is off. *)
 
 val backlog_series : t -> Secrep_sim.Timeseries.t
 (** (time, backlog) sampled at every submission and completion — the

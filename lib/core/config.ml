@@ -26,7 +26,6 @@ type t = {
   auditor_queue_capacity : int;
   pledge_batch_size : int;
   pledge_batch_window : float;
-  audit_dedup : bool;
   read_nonces : bool;
   audit_adaptive : bool;
   suspicion_tau : float;
@@ -66,11 +65,10 @@ let default =
     breaker_cooldown = 10.0;
     degraded_reads = true;
     auditor_queue_capacity = 100_000;
-    (* Batch size 1 and dedup off reproduce the unbatched protocol
-       bit-for-bit; E11 turns both on to measure the saving. *)
+    (* Batch size 1 reproduces the unbatched protocol bit-for-bit; E11
+       batches to measure the saving. *)
     pledge_batch_size = 1;
     pledge_batch_window = 0.05;
-    audit_dedup = false;
     (* Replay-nonces and suspicion-weighted auditing both default off:
        pledges keep their legacy payload/encoding and the auditor keeps
        uniform sampling, reproducing the seed protocol bit-for-bit.

@@ -23,9 +23,11 @@ type t = {
       (** Extra wait (beyond [max_latency]) before the auditor moves
           to the next content version (§3.4). *)
   audit_cache_capacity : int;
-      (** Entries in the auditor's result cache ("cache results in the
-          simplest case", §3.4); 1 effectively disables it — the E9
-          ablation knob. *)
+      (** Entries in the auditor's re-execution memo ("cache results in
+          the simplest case", §3.4), which holds the version under
+          audit only and empties when full; the bound on its memory.
+          1 keeps just the last digest and effectively disables it —
+          the E9 and E11 ablation knob. *)
   scheme : Secrep_crypto.Sig_scheme.scheme;
   per_doc_cost : float;  (** simulated seconds per document scanned *)
   signature_cost : float;  (** simulated seconds per signature made *)
@@ -78,10 +80,6 @@ type t = {
       (** Max seconds a partially-filled batch may wait before being
           flushed anyway; must stay well under [max_latency] or the
           queued pledges go stale while parked. *)
-  audit_dedup : bool;
-      (** Re-execute each distinct (version, query) once and settle
-          repeat pledges against the memoized digest (off by default;
-          the auditor then behaves exactly as before). *)
   read_nonces : bool;
       (** Clients mint a per-read nonce (the read's lineage request id)
           that slaves must echo inside the signed pledge payload;

@@ -16,8 +16,8 @@ module Canonical = Secrep_store.Canonical
 
 type read_reply = { result : Query_result.t; pledge : Pledge.t }
 
-(* One read waiting in a pledge batch: everything needed to build its
-   Merkle leaf and, after the root is signed, its reply. *)
+(* One pledge to sign: everything needed to build its payload (a Merkle
+   leaf when batched) and, once signed, its reply. *)
 type intent = {
   i_request : int;  (* lineage id of the read this pledge answers *)
   i_query : Query.t;
@@ -269,6 +269,57 @@ let enqueue_intent t intent =
            if t.batch_gen = gen then flush_batch t))
   end
 
+(* The pledge a read's reply carries under [lie], or [None] for a silent
+   omission.  The lie is counted first: a fabricated result's body
+   names [lies_told]. *)
+let intent_of t ~lie ~request ~query ~result ~keepalive ~nonce ~reply =
+  if lie <> None then begin
+    t.lies_told <- t.lies_told + 1;
+    Stats.incr t.stats "slave.lies_told"
+  end;
+  let pledge result =
+    Some
+      {
+        i_request = request;
+        i_query = query;
+        i_result = result;
+        i_digest = Canonical.result_digest result;
+        i_keepalive = keepalive;
+        i_nonce = nonce;
+        i_lied = lie <> None;
+        i_forge = lie = Some Fault.Bad_signature;
+        i_reply = reply;
+      }
+  in
+  match lie with
+  | Some (Fault.Omit_result | Fault.Flaky_omit _ | Fault.Replay_pledge) -> None
+  | Some ((Fault.Corrupt_result | Fault.Collude _ | Fault.Equivocate _ | Fault.Adaptive _) as mode)
+    ->
+    pledge (fabricated_result t ~mode ~query)
+  | None | Some (Fault.Bad_signature | Fault.Stale_state) ->
+    (* A [Stale_state] slave stopped applying updates (see
+       [dropping_updates]): its honest-looking reply over frozen state
+       *is* the lie. *)
+    pledge result
+
+(* Unbatched mode: one signature per pledge. *)
+let sign_single t i =
+  Stats.incr t.stats "slave.signatures";
+  emit t
+    (Event.Pledge_signed
+       {
+         slave = t.id;
+         request = i.i_request;
+         version = i.i_keepalive.Keepalive.version;
+         lied = i.i_lied;
+       });
+  let pledge =
+    Pledge.make ~nonce:i.i_nonce ~slave_key:t.key ~slave_id:t.id ~query:i.i_query
+      ~result_digest:i.i_digest ~keepalive:i.i_keepalive ()
+  in
+  let pledge = if i.i_forge then { pledge with Pledge.signature = "forged" } else pledge in
+  i.i_reply (Some { result = i.i_result; pledge })
+
 let handle_read t ~client ~request ~query ~reply =
   let now = Sim.now t.sim in
   if t.excluded then reply None
@@ -382,152 +433,35 @@ let handle_read t ~client ~request ~query ~reply =
             Query_eval.cost_seconds ~scanned ~cost_class:(Query.cost_class query)
               ~per_doc:t.config.Config.per_doc_cost
           in
+          let intent () = intent_of t ~lie ~request ~query ~result ~keepalive ~nonce ~reply in
           if t.config.Config.pledge_batch_size > 1 then begin
             (* Batched mode: the read only pays evaluation here; the
                signature cost is charged once per batch at flush. *)
             span t ~start:now ~duration:exec_cost "query_eval";
             Work_queue.submit t.work ~cost:exec_cost (fun () ->
                 if t.excluded then reply None
-                else begin
-                  let honest_digest = Canonical.result_digest result in
-                  match lie with
-                  | Some Fault.Omit_result ->
+                else
+                  match intent () with
+                  | Some i -> enqueue_intent t i
+                  | None ->
                     (* silence; the client times out *)
                     t.reads_served <- t.reads_served + 1;
-                    Stats.incr t.stats "slave.reads_served";
-                    t.lies_told <- t.lies_told + 1;
-                    Stats.incr t.stats "slave.lies_told"
-                  | None ->
-                    enqueue_intent t
-                      {
-                        i_request = request;
-                        i_query = query;
-                        i_result = result;
-                        i_digest = honest_digest;
-                        i_keepalive = keepalive;
-                        i_nonce = nonce;
-                        i_lied = false;
-                        i_forge = false;
-                        i_reply = reply;
-                      }
-                  | Some mode ->
-                    t.lies_told <- t.lies_told + 1;
-                    Stats.incr t.stats "slave.lies_told";
-                    let intent =
-                      match mode with
-                      | Fault.Omit_result | Fault.Flaky_omit _ | Fault.Replay_pledge ->
-                        assert false
-                      | Fault.Bad_signature ->
-                        {
-                          i_request = request;
-                          i_query = query;
-                          i_result = result;
-                          i_digest = honest_digest;
-                          i_keepalive = keepalive;
-                          i_nonce = nonce;
-                          i_lied = true;
-                          i_forge = true;
-                          i_reply = reply;
-                        }
-                      | Fault.Corrupt_result | Fault.Collude _ | Fault.Equivocate _
-                      | Fault.Adaptive _ ->
-                        let fake = fabricated_result t ~mode ~query in
-                        {
-                          i_request = request;
-                          i_query = query;
-                          i_result = fake;
-                          i_digest = Canonical.result_digest fake;
-                          i_keepalive = keepalive;
-                          i_nonce = nonce;
-                          i_lied = true;
-                          i_forge = false;
-                          i_reply = reply;
-                        }
-                      | Fault.Stale_state ->
-                        (* Honest-looking reply over frozen state *is*
-                           the lie (see [dropping_updates]). *)
-                        {
-                          i_request = request;
-                          i_query = query;
-                          i_result = result;
-                          i_digest = honest_digest;
-                          i_keepalive = keepalive;
-                          i_nonce = nonce;
-                          i_lied = true;
-                          i_forge = false;
-                          i_reply = reply;
-                        }
-                    in
-                    enqueue_intent t intent
-                end)
+                    Stats.incr t.stats "slave.reads_served")
           end
           else begin
-          let cost = exec_cost +. t.config.Config.signature_cost in
-          (* Span durations follow the cost model: evaluation first,
-             then the pledge signature. *)
-          span t ~start:now ~duration:exec_cost "query_eval";
-          span t ~start:(now +. exec_cost) ~duration:t.config.Config.signature_cost "sign";
-          Work_queue.submit t.work ~cost (fun () ->
-              if t.excluded then reply None
-              else begin
-                t.reads_served <- t.reads_served + 1;
-                Stats.incr t.stats "slave.reads_served";
-                let honest_digest = Canonical.result_digest result in
-                match lie with
-                | None ->
-                  let pledge =
-                    Pledge.make ~nonce ~slave_key:t.key ~slave_id:t.id ~query
-                      ~result_digest:honest_digest ~keepalive ()
-                  in
-                  Stats.incr t.stats "slave.signatures";
-                  emit t
-                    (Event.Pledge_signed
-                       { slave = t.id; request; version = Pledge.version pledge; lied = false });
-                  reply (Some { result; pledge })
-                | Some mode ->
-                  t.lies_told <- t.lies_told + 1;
-                  Stats.incr t.stats "slave.lies_told";
-                  (match mode with
-                  | Fault.Omit_result | Fault.Flaky_omit _ | Fault.Replay_pledge -> ()
-                  | Fault.Bad_signature | Fault.Corrupt_result | Fault.Collude _
-                  | Fault.Stale_state | Fault.Equivocate _ | Fault.Adaptive _ ->
-                    Stats.incr t.stats "slave.signatures";
-                    emit t
-                      (Event.Pledge_signed
-                         {
-                           slave = t.id;
-                           request;
-                           version = keepalive.Keepalive.version;
-                           lied = true;
-                         }));
-                  (match mode with
-                  | Fault.Omit_result | Fault.Flaky_omit _ | Fault.Replay_pledge ->
-                    () (* silence; the client times out *)
-                  | Fault.Bad_signature ->
-                    let pledge =
-                      Pledge.make ~nonce ~slave_key:t.key ~slave_id:t.id ~query
-                        ~result_digest:honest_digest ~keepalive ()
-                    in
-                    reply
-                      (Some { result; pledge = { pledge with Pledge.signature = "forged" } })
-                  | Fault.Corrupt_result | Fault.Collude _ | Fault.Equivocate _
-                  | Fault.Adaptive _ ->
-                    let fake = fabricated_result t ~mode ~query in
-                    let pledge =
-                      Pledge.make ~nonce ~slave_key:t.key ~slave_id:t.id ~query
-                        ~result_digest:(Canonical.result_digest fake) ~keepalive ()
-                    in
-                    reply (Some { result = fake; pledge })
-                  | Fault.Stale_state ->
-                    (* The store silently stopped applying updates (see
-                       [dropping_updates]); the honest-looking reply over
-                       frozen state *is* the lie. *)
-                    let pledge =
-                      Pledge.make ~nonce ~slave_key:t.key ~slave_id:t.id ~query
-                        ~result_digest:honest_digest ~keepalive ()
-                    in
-                    reply (Some { result; pledge }))
-              end)
+            let cost = exec_cost +. t.config.Config.signature_cost in
+            (* Span durations follow the cost model: evaluation first,
+               then the pledge signature. *)
+            span t ~start:now ~duration:exec_cost "query_eval";
+            span t ~start:(now +. exec_cost) ~duration:t.config.Config.signature_cost "sign";
+            Work_queue.submit t.work ~cost (fun () ->
+                if t.excluded then reply None
+                else begin
+                  t.reads_served <- t.reads_served + 1;
+                  Stats.incr t.stats "slave.reads_served";
+                  (* [None] is silence; the client times out. *)
+                  Option.iter (sign_single t) (intent ())
+                end)
           end
       end
   end

@@ -13,7 +13,6 @@ type t =
     }
   | Pledge_signed of { slave : int; request : int; version : int; lied : bool }
   | Pledge_batch_signed of { slave : int; version : int; batch : int }
-  | Audit_dedup_hit of { slave : int; version : int }
   | Pledge_verified of {
       client : int;
       request : int;
@@ -73,7 +72,6 @@ let kind = function
   | Read_answered _ -> "read_answered"
   | Pledge_signed _ -> "pledge_signed"
   | Pledge_batch_signed _ -> "pledge_batch_signed"
-  | Audit_dedup_hit _ -> "audit_dedup_hit"
   | Pledge_verified _ -> "pledge_verified"
   | Double_check _ -> "double_check"
   | Write_committed _ -> "write_committed"
@@ -108,7 +106,6 @@ let all_kinds =
     "read_answered";
     "pledge_signed";
     "pledge_batch_signed";
-    "audit_dedup_hit";
     "pledge_verified";
     "double_check";
     "write_committed";
@@ -154,7 +151,6 @@ let fields = function
     [ ("slave", I slave); ("request", I request); ("version", I version); ("lied", B lied) ]
   | Pledge_batch_signed { slave; version; batch } ->
     [ ("slave", I slave); ("version", I version); ("batch", I batch) ]
-  | Audit_dedup_hit { slave; version } -> [ ("slave", I slave); ("version", I version) ]
   | Pledge_verified { client; request; slave; version; ok; reason } ->
     [
       ("client", I client);
@@ -275,10 +271,6 @@ let of_fields ~kind fs =
     let* version = int_field fs "version" in
     let* batch = int_field fs "batch" in
     Ok (Pledge_batch_signed { slave; version; batch })
-  | "audit_dedup_hit" ->
-    let* slave = int_field fs "slave" in
-    let* version = int_field fs "version" in
-    Ok (Audit_dedup_hit { slave; version })
   | "pledge_verified" ->
     let* client = int_field fs "client" in
     let* request = request_field fs in

@@ -28,9 +28,6 @@ type t =
   | Pledge_batch_signed of { slave : int; version : int; batch : int }
       (** Slave flushed a Merkle batch of [batch] pledges under one
           signature; [version] is the keep-alive version at flush. *)
-  | Audit_dedup_hit of { slave : int; version : int }
-      (** Auditor settled a pledge from the dedup index instead of
-          re-executing its query. *)
   | Pledge_verified of {
       client : int;
       request : int;

@@ -1,46 +1,51 @@
-(* Dedup index for audit re-execution (after Tan et al., "The Efficient
-   Server Audit Problem, Deduplicated Re-execution, and the Web").
+(* The auditor's re-execution memo: "cache results in the simplest case"
+   (§3.4), which is also Tan et al.'s deduplicated re-execution ("The
+   Efficient Server Audit Problem, Deduplicated Re-execution, and the
+   Web").
 
    Within one content version a query is a pure function of the store,
-   so the auditor only ever needs to re-execute each distinct read once
-   per version and can settle every later pledge for the same
-   (version, query) against the memoized digest.  Unlike Result_cache
-   this is not an LRU: entries are dropped explicitly when the audit
-   cursor advances past their version, which bounds the table by the
-   working set of in-flight versions. *)
+   so each distinct (version, query) is re-executed once and every later
+   pledge for it settles against the memoized digest.  The auditor only
+   looks up the version under audit, so an entry for an older version
+   can never hit again: instead of evicting entry by entry, the table is
+   emptied when the audit cursor advances and when it reaches its
+   capacity.  At capacity 1 that keeps exactly the last digest. *)
 
 type t = {
+  capacity : int;
   table : (int * string, string) Hashtbl.t;
   mutable hits : int;
-  mutable distinct : int;
+  mutable misses : int;
 }
 
-let create () = { table = Hashtbl.create 256; hits = 0; distinct = 0 }
+let create ?(capacity = 4096) () =
+  if capacity <= 0 then invalid_arg "Audit_index.create: capacity must be positive";
+  { capacity; table = Hashtbl.create (min capacity 256); hits = 0; misses = 0 }
+
+let key ~version q = (version, Canonical.of_query q)
 
 let find t ~version q =
-  match Hashtbl.find_opt t.table (Query_key.versioned ~version q) with
-  | Some digest ->
+  match Hashtbl.find_opt t.table (key ~version q) with
+  | Some _ as hit ->
     t.hits <- t.hits + 1;
-    Some digest
-  | None -> None
+    hit
+  | None ->
+    t.misses <- t.misses + 1;
+    None
+
+(* Constant time: [reset] drops the bucket array for a fresh one of the
+   initial size rather than walking the entries. *)
+let clear t = Hashtbl.reset t.table
 
 let store t ~version q ~digest =
-  let k = Query_key.versioned ~version q in
-  if not (Hashtbl.mem t.table k) then begin
-    t.distinct <- t.distinct + 1;
-    Hashtbl.add t.table k digest
-  end
-
-let drop_version t ~version =
-  Hashtbl.iter
-    (fun ((v, _) as k) _ -> if v = version then Hashtbl.remove t.table k)
-    (Hashtbl.copy t.table)
+  if Hashtbl.length t.table >= t.capacity then clear t;
+  Hashtbl.replace t.table (key ~version q) digest
 
 let hits t = t.hits
-let distinct t = t.distinct
+let misses t = t.misses
 
 let hit_rate t =
-  let total = t.hits + t.distinct in
+  let total = t.hits + t.misses in
   if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
 
 let size t = Hashtbl.length t.table

@@ -1,35 +1,32 @@
-(** Deduplication index for audit re-execution.
+(** The auditor's re-execution memo.
 
-    Keyed by (content version, canonical query) through [Query_key], the
-    same key the auditor's [Result_cache] uses.  The auditor re-executes
-    each distinct read once per version ([store]), settles every later
-    matching pledge against the memoized digest ([find], counted as a
-    hit), and drops a version's entries when the audit cursor moves past
-    it ([drop_version]) so the table tracks only in-flight versions. *)
+    Keyed by (content version, canonical query encoding).  The auditor
+    re-executes a read on a miss and records its digest ([store]);
+    every later pledge for the same (version, query) settles against
+    the memoized digest ([find], counted as a hit).  The memo holds the
+    version under audit only: the auditor empties it when its cursor
+    advances ([clear]), and [store] empties it first when it already
+    holds [capacity] entries.  Emptying takes constant time. *)
 
 type t
 
-val create : unit -> t
+val create : ?capacity:int -> unit -> t
+(** Default capacity: 4096 entries.  Raises [Invalid_argument] below 1. *)
 
 val find : t -> version:int -> Query.t -> string option
-(** Memoized canonical result digest; counts a dedup hit when present. *)
+(** Memoized canonical result digest; counts a hit or a miss. *)
 
 val store : t -> version:int -> Query.t -> digest:string -> unit
-(** Record the digest of a fresh re-execution.  First store per key
-    counts as a distinct re-execution; re-stores are ignored (within a
-    version the digest cannot change). *)
+(** Record the digest of a fresh re-execution, emptying the memo first
+    if it is full. *)
 
-val drop_version : t -> version:int -> unit
-(** Forget every entry for [version] — called when the audit cursor
-    advances past it. *)
+val clear : t -> unit
+(** Forget every entry; the hit and miss counts are kept. *)
 
 val hits : t -> int
-(** Pledges settled from the index without re-execution. *)
-
-val distinct : t -> int
-(** Distinct (version, query) re-executions recorded. *)
+val misses : t -> int
 
 val hit_rate : t -> float
-(** hits / (hits + distinct); 0 when empty. *)
+(** hits / (hits + misses); 0 when never queried. *)
 
 val size : t -> int

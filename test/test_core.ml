@@ -1001,7 +1001,7 @@ let test_e2e_freshness_bound_holds () =
 
 let test_e2e_audit_cache_effective () =
   (* Repeated identical queries within one version should mostly hit
-     the auditor's result cache. *)
+     the auditor's re-execution memo. *)
   let config = { fast_config with Config.double_check_probability = 0.0 } in
   let system = make_system ~config () in
   let reports = ref [] in
@@ -1015,7 +1015,7 @@ let test_e2e_audit_cache_effective () =
   check int_t "reads done" 20 (List.length !reports);
   let cache = Auditor.cache (System.auditor system) in
   check bool_t "cache hits dominate" true
-    (Secrep_store.Result_cache.hits cache >= 15);
+    (Secrep_store.Audit_index.hits cache >= 15);
   check int_t "auditor audited all" 20 (Auditor.audited (System.auditor system))
 
 let test_e2e_audit_fraction_samples () =
@@ -1122,9 +1122,9 @@ let test_e2e_auditor_queue_bounded () =
     (Stats.get (System.stats system) "auditor.overload_drops")
 
 let test_e2e_batched_pledges_honest () =
-  (* Merkle-batched signing + audit dedup on: every read still accepts,
-     nobody is accused, the slave signs far fewer times than it serves,
-     and the dedup index absorbs the repeats. *)
+  (* Merkle-batched signing: every read still accepts, nobody is
+     accused, the slave signs far fewer times than it serves, and the
+     re-execution memo absorbs the repeats. *)
   let config =
     {
       fast_config with
@@ -1135,7 +1135,6 @@ let test_e2e_batched_pledges_honest () =
          make the audited count inexact for reasons unrelated to
          batching). *)
       pledge_batch_window = 0.3;
-      audit_dedup = true;
       double_check_probability = 0.0;
     }
   in
@@ -1159,10 +1158,9 @@ let test_e2e_batched_pledges_honest () =
     (List.mem "pledge_batch_signed" (Trace.kinds (System.trace system)));
   let auditor = System.auditor system in
   check int_t "auditor audited every pledge" 40 (Auditor.audited auditor);
-  check bool_t "dedup hits recorded" true (Auditor.dedup_hits auditor > 0);
-  check int_t "dedup stats mirror the accessors"
-    (Auditor.dedup_hits auditor)
-    (Stats.get stats "auditor.dedup_hits")
+  let memo_hits = Secrep_store.Audit_index.hits (Auditor.cache auditor) in
+  check bool_t "memo hits recorded" true (memo_hits > 0);
+  check int_t "memo hits mirror the stat" memo_hits (Stats.get stats "auditor.cache_hits")
 
 let test_e2e_batched_attack_caught () =
   (* A lying slave cannot hide inside a batch: the proof pins its
@@ -1171,7 +1169,6 @@ let test_e2e_batched_attack_caught () =
     {
       fast_config with
       Config.pledge_batch_size = 4;
-      audit_dedup = true;
       double_check_probability = 0.0;
     }
   in
@@ -1185,6 +1182,46 @@ let test_e2e_batched_attack_caught () =
   check bool_t "liar caught despite batching" true (Auditor.caught (System.auditor system) > 0);
   check bool_t "liar excluded" true
     (Corrective.is_excluded (System.corrective system) ~slave_id:victim)
+
+let test_e2e_auditor_matches_naive_reference () =
+  (* The live auditor judges pledges through [Audit_core.audit_pledge]
+     and its memos.  At a full audit budget, with nothing late, sampled
+     out or shed, its convictions and signature rejections must equal
+     the naive reference's verdicts over exactly the pledges it got. *)
+  let config = { fast_config with Config.double_check_probability = 0.0 } in
+  let system = make_system ~config () in
+  let pledges = ref [] in
+  System.on_pledge_submitted system (fun p -> pledges := p :: !pledges);
+  let lie ~slave mode =
+    System.set_slave_behavior system ~slave
+      (Fault.Malicious { probability = 1.0; mode; from_time = 0.0 })
+  in
+  lie ~slave:0 Fault.Corrupt_result;
+  lie ~slave:1 Fault.Bad_signature;
+  let reports = issue_reads system ~n:60 ~spacing:0.1 in
+  System.run_for system 120.0;
+  check int_t "reads completed" 60 (List.length !reports);
+  let pledges = List.rev !pledges in
+  let naive =
+    Audit_core.run_naive
+      ~slave_public:(fun id ->
+        if id >= 0 && id < System.n_slaves system then
+          Some (Slave.public (System.slave system id))
+        else None)
+      ~reexec:(fun ~version query -> System.reexec_digest system ~version query)
+      pledges
+  in
+  let count v = List.length (List.filter (Audit_core.equal_verdict v) naive) in
+  let auditor = System.auditor system in
+  let stats = System.stats system in
+  check int_t "no late pledges" 0 (Auditor.late_pledges auditor);
+  check int_t "none sampled out" 0 (Stats.get stats "auditor.sampled_out");
+  check int_t "none shed" 0 (Auditor.overload_drops auditor);
+  check int_t "every pledge audited" (List.length pledges) (Auditor.audited auditor);
+  check bool_t "the corrupt liar was convicted" true (count Audit_core.Caught > 0);
+  check int_t "caught = naive Caught" (count Audit_core.Caught) (Auditor.caught auditor);
+  check int_t "bad signatures = naive Bad_signature" (count Audit_core.Bad_signature)
+    (Stats.get stats "auditor.bad_signatures")
 
 let test_e2e_batched_accounting_exact () =
   (* Satellite regression: audit_fraction sampling accounting stays
@@ -1640,6 +1677,8 @@ let () =
             test_e2e_batched_pledges_honest;
           Alcotest.test_case "batched pledges: attack caught" `Quick
             test_e2e_batched_attack_caught;
+          Alcotest.test_case "auditor matches the naive reference" `Quick
+            test_e2e_auditor_matches_naive_reference;
           Alcotest.test_case "batched pledges: sampling accounting exact" `Quick
             test_e2e_batched_accounting_exact;
           Alcotest.test_case "batched pledges: queue-bound accounting exact" `Quick

@@ -561,7 +561,6 @@ let sample_events =
       };
     Event.Pledge_signed { slave = 7; request = 3_000_001; version = 12; lied = false };
     Event.Pledge_batch_signed { slave = 7; version = 12; batch = 8 };
-    Event.Audit_dedup_hit { slave = 7; version = 12 };
     Event.Pledge_verified
       {
         client = 3;

@@ -1,6 +1,6 @@
 (* Tests for the content-store substrate: the regex engine, values,
    documents, the query language and evaluator, canonical encodings,
-   the versioned store, op log and result cache. *)
+   the versioned store, op log and the auditor's re-execution memo. *)
 
 open Secrep_store
 module Prng = Secrep_crypto.Prng
@@ -926,146 +926,99 @@ let test_codec_negative_int () =
   | Ok v -> check bool_t "negative int survives" true (Value.equal v (Value.Int (-42)))
   | Error msg -> Alcotest.fail msg
 
-(* ---------------- Result_cache ---------------- *)
+(* ---------------- Query_result ---------------- *)
 
-let test_result_cache_hit_miss () =
-  let c = Result_cache.create ~capacity:10 () in
-  let q = Query.point_read "k" in
-  check bool_t "miss" true (Result_cache.find c ~version:1 q = None);
-  Result_cache.store c ~version:1 q ~digest:"d1";
-  check bool_t "hit" true (Result_cache.find c ~version:1 q = Some "d1");
-  check bool_t "other version misses" true (Result_cache.find c ~version:2 q = None);
-  check int_t "hits" 1 (Result_cache.hits c);
-  check int_t "misses" 2 (Result_cache.misses c);
-  check bool_t "hit rate" true (Float.abs (Result_cache.hit_rate c -. (1.0 /. 3.0)) < 1e-9)
+let test_query_result_equal () =
+  let doc n = Document.of_fields [ ("n", Value.Int n) ] in
+  let rows = Query_result.Rows [ ("a", doc 1); ("b", doc 2) ] in
+  check bool_t "rows equal themselves" true
+    (Query_result.equal rows (Query_result.Rows [ ("a", doc 1); ("b", doc 2) ]));
+  check bool_t "row order matters" false
+    (Query_result.equal rows (Query_result.Rows [ ("b", doc 2); ("a", doc 1) ]));
+  check bool_t "row document matters" false
+    (Query_result.equal rows (Query_result.Rows [ ("a", doc 1); ("b", doc 3) ]));
+  check bool_t "a dropped row differs" false
+    (Query_result.equal rows (Query_result.Rows [ ("a", doc 1) ]));
+  let m = Query_result.Matches [ ("a", "f", "x") ] in
+  check bool_t "match field matters" false
+    (Query_result.equal m (Query_result.Matches [ ("a", "g", "x") ]));
+  check bool_t "match text matters" false
+    (Query_result.equal m (Query_result.Matches [ ("a", "f", "y") ]));
+  check bool_t "aggregates compare by value" true
+    (Query_result.equal (Query_result.Agg (Value.Int 3)) (Query_result.Agg (Value.Int 3)));
+  check bool_t "empty rows differ from empty matches" false
+    (Query_result.equal (Query_result.Rows []) (Query_result.Matches []))
 
-let test_result_cache_lru () =
-  let c = Result_cache.create ~capacity:3 () in
-  let q i = Query.point_read (string_of_int i) in
-  Result_cache.store c ~version:1 (q 1) ~digest:"d1";
-  Result_cache.store c ~version:1 (q 2) ~digest:"d2";
-  Result_cache.store c ~version:1 (q 3) ~digest:"d3";
-  (* touch q1 so q2 is the oldest *)
-  ignore (Result_cache.find c ~version:1 (q 1));
-  Result_cache.store c ~version:1 (q 4) ~digest:"d4";
-  check int_t "capacity held" 3 (Result_cache.size c);
-  check bool_t "q2 evicted" true (Result_cache.find c ~version:1 (q 2) = None);
-  check bool_t "q1 kept" true (Result_cache.find c ~version:1 (q 1) = Some "d1");
-  check bool_t "q4 present" true (Result_cache.find c ~version:1 (q 4) = Some "d4")
-
-let test_result_cache_restore_updates () =
-  (* Regression: [store] on an existing key used to be a silent no-op,
-     keeping the stale digest and the stale recency. *)
-  let c = Result_cache.create ~capacity:10 () in
-  let q = Query.point_read "k" in
-  Result_cache.store c ~version:1 q ~digest:"old";
-  Result_cache.store c ~version:1 q ~digest:"new";
-  check int_t "still one entry" 1 (Result_cache.size c);
-  check bool_t "digest updated" true (Result_cache.find c ~version:1 q = Some "new")
-
-let test_result_cache_restore_refreshes_recency () =
-  let c = Result_cache.create ~capacity:3 () in
-  let q i = Query.point_read (string_of_int i) in
-  Result_cache.store c ~version:1 (q 1) ~digest:"d1";
-  Result_cache.store c ~version:1 (q 2) ~digest:"d2";
-  Result_cache.store c ~version:1 (q 3) ~digest:"d3";
-  (* Re-store q1: it must become the most recent, leaving q2 oldest. *)
-  Result_cache.store c ~version:1 (q 1) ~digest:"d1'";
-  Result_cache.store c ~version:1 (q 4) ~digest:"d4";
-  check int_t "capacity held" 3 (Result_cache.size c);
-  check bool_t "q2 evicted, not the re-stored q1" true
-    (Result_cache.find c ~version:1 (q 2) = None);
-  check bool_t "q1 kept with updated digest" true
-    (Result_cache.find c ~version:1 (q 1) = Some "d1'");
-  check bool_t "q4 present" true (Result_cache.find c ~version:1 (q 4) = Some "d4")
-
-(* ---------------- Query_key ---------------- *)
-
-(* One canonical-digest helper feeds both memoization layers: if these
-   ever disagree, the dedup index would settle pledges against digests
-   the result cache never produced. *)
-let test_query_key_matches_canonical () =
-  let queries =
-    [
-      Query.point_read "k";
-      Query.point_read "";
-      Query.Select
-        {
-          from = Query.All;
-          where = Query.Field_greater ("stock", Value.Int 3);
-          project = None;
-          limit = None;
-        };
-    ]
-  in
-  List.iter
-    (fun q ->
-      check string_t "encoding = Canonical.of_query" (Canonical.of_query q)
-        (Query_key.of_query q);
-      check string_t "digest = Canonical.query_digest" (Canonical.query_digest q)
-        (Query_key.digest q);
-      check bool_t "versioned pairs version with the encoding" true
-        (Query_key.versioned ~version:7 q = (7, Canonical.of_query q)))
-    queries
-
-let test_query_key_shared_by_cache_and_index () =
-  (* The same (version, query) stored in both layers is found by both;
-     a different version or query is found by neither. *)
-  let cache = Result_cache.create ~capacity:10 () in
-  let index = Audit_index.create () in
-  let q = Query.point_read "k" in
-  Result_cache.store cache ~version:3 q ~digest:"d";
-  Audit_index.store index ~version:3 q ~digest:"d";
-  check bool_t "cache hit" true (Result_cache.find cache ~version:3 q = Some "d");
-  check bool_t "index hit" true (Audit_index.find index ~version:3 q = Some "d");
-  check bool_t "cache: version mismatch misses" true
-    (Result_cache.find cache ~version:4 q = None);
-  check bool_t "index: version mismatch misses" true
-    (Audit_index.find index ~version:4 q = None);
-  let q' = Query.point_read "other" in
-  check bool_t "cache: query mismatch misses" true
-    (Result_cache.find cache ~version:3 q' = None);
-  check bool_t "index: query mismatch misses" true
-    (Audit_index.find index ~version:3 q' = None)
+let test_query_result_size () =
+  let doc = Document.of_fields [ ("n", Value.Int 1) ] in
+  check int_t "rows" 2 (Query_result.size (Query_result.Rows [ ("a", doc); ("b", doc) ]));
+  check int_t "no rows" 0 (Query_result.size (Query_result.Rows []));
+  check int_t "matches" 1 (Query_result.size (Query_result.Matches [ ("a", "f", "x") ]));
+  check int_t "aggregate" 1 (Query_result.size (Query_result.Agg (Value.Int 0)))
 
 (* ---------------- Audit_index ---------------- *)
 
-let test_audit_index_hits_distinct () =
+let test_audit_index_hits_misses () =
   let idx = Audit_index.create () in
   let q i = Query.point_read (string_of_int i) in
   check bool_t "empty miss" true (Audit_index.find idx ~version:1 (q 1) = None);
   Audit_index.store idx ~version:1 (q 1) ~digest:"d1";
   Audit_index.store idx ~version:1 (q 2) ~digest:"d2";
-  check int_t "two distinct re-executions" 2 (Audit_index.distinct idx);
+  check int_t "two entries" 2 (Audit_index.size idx);
   check bool_t "hit q1" true (Audit_index.find idx ~version:1 (q 1) = Some "d1");
   check bool_t "hit q1 again" true (Audit_index.find idx ~version:1 (q 1) = Some "d1");
   check bool_t "hit q2" true (Audit_index.find idx ~version:1 (q 2) = Some "d2");
+  check bool_t "version mismatch misses" true (Audit_index.find idx ~version:2 (q 1) = None);
+  check bool_t "query mismatch misses" true (Audit_index.find idx ~version:1 (q 3) = None);
   check int_t "three hits" 3 (Audit_index.hits idx);
-  (* A re-store of an existing key is ignored: within a version the
-     honest digest cannot change. *)
-  Audit_index.store idx ~version:1 (q 1) ~digest:"clobber";
-  check int_t "re-store not counted distinct" 2 (Audit_index.distinct idx);
-  check bool_t "original digest kept" true
-    (Audit_index.find idx ~version:1 (q 1) = Some "d1");
-  check bool_t "hit rate = 4/(4+2)" true
-    (Float.abs (Audit_index.hit_rate idx -. (4.0 /. 6.0)) < 1e-9)
+  check int_t "three misses" 3 (Audit_index.misses idx);
+  check bool_t "hit rate = 3/(3+3)" true
+    (Float.abs (Audit_index.hit_rate idx -. 0.5) < 1e-9)
 
-let test_audit_index_drop_version () =
+let test_audit_index_clear () =
   let idx = Audit_index.create () in
   let q i = Query.point_read (string_of_int i) in
   Audit_index.store idx ~version:1 (q 1) ~digest:"a";
   Audit_index.store idx ~version:1 (q 2) ~digest:"b";
+  check bool_t "hit before clear" true (Audit_index.find idx ~version:1 (q 1) = Some "a");
+  Audit_index.clear idx;
+  check int_t "emptied" 0 (Audit_index.size idx);
+  check bool_t "entries dropped" true (Audit_index.find idx ~version:1 (q 1) = None);
+  (* Counters describe history, not liveness: clear does not rewind them. *)
+  check int_t "hits kept" 1 (Audit_index.hits idx);
+  check int_t "misses kept" 1 (Audit_index.misses idx);
   Audit_index.store idx ~version:2 (q 1) ~digest:"c";
-  check int_t "three live entries" 3 (Audit_index.size idx);
-  Audit_index.drop_version idx ~version:1;
-  check int_t "version 1 gone" 1 (Audit_index.size idx);
-  check bool_t "v1 entries dropped" true (Audit_index.find idx ~version:1 (q 1) = None);
-  check bool_t "v2 entry survives" true (Audit_index.find idx ~version:2 (q 1) = Some "c");
-  (* Dropping an absent version is a no-op. *)
-  Audit_index.drop_version idx ~version:9;
-  check int_t "no-op drop" 1 (Audit_index.size idx);
-  (* Counters describe history, not liveness: drop does not rewind them. *)
-  check int_t "distinct unchanged by drop" 3 (Audit_index.distinct idx)
+  check bool_t "next version memoized" true
+    (Audit_index.find idx ~version:2 (q 1) = Some "c")
+
+let test_audit_index_capacity_resets () =
+  let idx = Audit_index.create ~capacity:3 () in
+  let q i = Query.point_read (string_of_int i) in
+  for i = 1 to 5 do
+    check bool_t "fresh query misses" true (Audit_index.find idx ~version:1 (q i) = None);
+    Audit_index.store idx ~version:1 (q i) ~digest:(string_of_int i);
+    check bool_t "at most 3 entries" true (Audit_index.size idx <= 3);
+    check bool_t "stored digest hits" true
+      (Audit_index.find idx ~version:1 (q i) = Some (string_of_int i))
+  done;
+  (* The fourth store found the memo full and emptied it first. *)
+  check int_t "q4 and q5 left" 2 (Audit_index.size idx);
+  check bool_t "q1 gone" true (Audit_index.find idx ~version:1 (q 1) = None);
+  check bool_t "q4 kept" true (Audit_index.find idx ~version:1 (q 4) = Some "4");
+  check int_t "hits across the reset" 6 (Audit_index.hits idx);
+  check int_t "misses across the reset" 6 (Audit_index.misses idx)
+
+let test_audit_index_capacity_one () =
+  let idx = Audit_index.create ~capacity:1 () in
+  let q i = Query.point_read (string_of_int i) in
+  Audit_index.store idx ~version:1 (q 1) ~digest:"a";
+  Audit_index.store idx ~version:1 (q 2) ~digest:"b";
+  check int_t "one entry" 1 (Audit_index.size idx);
+  check bool_t "last digest kept" true (Audit_index.find idx ~version:1 (q 2) = Some "b");
+  check bool_t "earlier digest dropped" true (Audit_index.find idx ~version:1 (q 1) = None);
+  Alcotest.check_raises "capacity 0 rejected"
+    (Invalid_argument "Audit_index.create: capacity must be positive") (fun () ->
+      ignore (Audit_index.create ~capacity:0 ()))
 
 (* ---------------- Regex corner cases ---------------- *)
 
@@ -1268,18 +1221,19 @@ let () =
           Alcotest.test_case "query digests" `Quick test_canonical_query_digest;
           prop_canonical_value_injective_ish;
         ] );
-      ( "query_key",
+      ( "query_result",
         [
-          Alcotest.test_case "matches canonical encoding" `Quick
-            test_query_key_matches_canonical;
-          Alcotest.test_case "shared by cache and index" `Quick
-            test_query_key_shared_by_cache_and_index;
+          Alcotest.test_case "equal" `Quick test_query_result_equal;
+          Alcotest.test_case "size" `Quick test_query_result_size;
         ] );
       ( "audit_index",
         [
-          Alcotest.test_case "hits and distinct counters" `Quick
-            test_audit_index_hits_distinct;
-          Alcotest.test_case "drop_version" `Quick test_audit_index_drop_version;
+          Alcotest.test_case "hits and misses counters" `Quick test_audit_index_hits_misses;
+          Alcotest.test_case "clear" `Quick test_audit_index_clear;
+          Alcotest.test_case "capacity 3 empties when full" `Quick
+            test_audit_index_capacity_resets;
+          Alcotest.test_case "capacity 1 keeps the last digest" `Quick
+            test_audit_index_capacity_one;
         ] );
       ( "codec",
         [
@@ -1296,13 +1250,5 @@ let () =
             test_codec_roundtrip_adversarial_strings;
           Alcotest.test_case "trailing garbage" `Quick test_codec_rejects_trailing_garbage;
           Alcotest.test_case "reader truncation" `Quick test_codec_reader_truncation;
-        ] );
-      ( "result_cache",
-        [
-          Alcotest.test_case "hit/miss accounting" `Quick test_result_cache_hit_miss;
-          Alcotest.test_case "LRU eviction" `Quick test_result_cache_lru;
-          Alcotest.test_case "re-store updates digest" `Quick test_result_cache_restore_updates;
-          Alcotest.test_case "re-store refreshes recency" `Quick
-            test_result_cache_restore_refreshes_recency;
         ] );
     ]
