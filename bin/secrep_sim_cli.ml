@@ -194,10 +194,7 @@ let finish_monitoring d ms ~slo_out ~lineage_out ~print_report =
     Array.mapi
       (fun i m ->
         let sys = Deployment.system d i in
-        let health =
-          Health.build ~trace:(System.trace sys) ~spans:(System.spans sys) ~slo:m.m_slo
-            ~lineage:m.m_lineage ()
-        in
+        let health = Health.build ~trace:(System.trace sys) ~slo:m.m_slo ~lineage:m.m_lineage () in
         if print_report then Format.printf "@.-- shard %d --@.%a" i Health.pp health;
         Export.Json.to_string
           (Export.Json.Obj [ ("shard", Export.Json.Int i); ("health", Health.to_json health) ]))

@@ -30,8 +30,8 @@ type t = {
   config : Config.t;
   stats : Stats.t;
   rng : Prng.t;
-  trace : Trace.t option;
-  spans : Span.t option;
+  trace : Trace.t;
+  spans : Span.t;
   store : Store.t; (* lags the masters *)
   memo : Audit_core.memo; (* verified batch roots + re-execution memo *)
   work : Work_queue.t;
@@ -50,25 +50,17 @@ type t = {
   mutable quarantines : int;
 }
 
-let emit t event =
-  match t.trace with
-  | Some tr -> Trace.emit tr ~time:(Sim.now t.sim) ~source:"auditor" event
-  | None -> ()
+let emit t event = Trace.emit t.trace ~time:(Sim.now t.sim) ~source:"auditor" event
+let span t ~start ~duration name = Span.record t.spans ~source:"auditor" ~start ~duration name
 
-let span t ~start ~duration name =
-  match t.spans with
-  | Some spans -> Span.record spans ~source:"auditor" ~start ~duration name
-  | None -> ()
-
-let create sim ~config ~stats ~rng ~slave_public ~report ?trace:trace_buf ?spans ()
-    =
+let create sim ~config ~stats ~rng ~slave_public ~report ~trace ~spans =
   let t =
     {
       sim;
       config;
       stats;
       rng;
-      trace = trace_buf;
+      trace;
       spans;
       store = Store.create ();
       memo = Audit_core.memo ~capacity:config.Config.audit_cache_capacity ();

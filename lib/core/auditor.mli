@@ -24,9 +24,8 @@ val create :
   rng:Secrep_crypto.Prng.t ->
   slave_public:(int -> Secrep_crypto.Sig_scheme.public option) ->
   report:(Pledge.t -> unit) ->
-  ?trace:Secrep_sim.Trace.t ->
-  ?spans:Secrep_sim.Span.t ->
-  unit ->
+  trace:Secrep_sim.Trace.t ->
+  spans:Secrep_sim.Span.t ->
   t
 (** [report] fires on every caught slave (delayed discovery); the
     system layer routes it to the responsible master. *)

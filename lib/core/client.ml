@@ -26,17 +26,15 @@ type env = {
   now : unit -> float;
   schedule : delay:float -> (unit -> unit) -> unit;
   slave_id : unit -> int;
-  slave_public : unit -> Secrep_crypto.Sig_scheme.public;
+  peers : unit -> int list;
+  public_of_slave : int -> Secrep_crypto.Sig_scheme.public;
   master_public : unit -> Secrep_crypto.Sig_scheme.public;
-  send_read : request:int -> query:Query.t -> reply:(Slave.read_reply option -> unit) -> unit;
-  send_read_to :
+  send_read :
     slave_id:int ->
     request:int ->
     query:Query.t ->
     reply:(Slave.read_reply option -> unit) ->
     unit;
-  quorum_candidates : unit -> int list;
-  public_of_slave : int -> Secrep_crypto.Sig_scheme.public option;
   send_double_check :
     query:Query.t -> reply:(Master.double_check_reply -> unit) -> unit;
   send_sensitive :
@@ -64,8 +62,8 @@ type t = {
   config : Config.t;
   env : env;
   stats : Stats.t;
-  trace : Trace.t option;
-  spans : Span.t option;
+  trace : Trace.t;
+  spans : Span.t;
   max_latency : float; (* effective freshness bound for this client *)
   mutable reads_issued : int;
   mutable reads_accepted : int;
@@ -84,7 +82,7 @@ type t = {
   mutable breaker_closed : int;
 }
 
-let create ~id ~rng ~config ~env ~stats ?trace ?spans ?max_latency_override () =
+let create ~id ~rng ~config ~env ~stats ~trace ~spans ?max_latency_override () =
   let max_latency =
     match max_latency_override with
     | Some m ->
@@ -116,20 +114,7 @@ let create ~id ~rng ~config ~env ~stats ?trace ?spans ?max_latency_override () =
 
 let source t = Printf.sprintf "client-%d" t.id
 
-let emit t event =
-  match t.trace with
-  | Some tr -> Trace.emit tr ~time:(t.env.now ()) ~source:(source t) event
-  | None -> ()
-
-(* Pledge verification is instantaneous on the simulated clock (the
-   client is not a modelled CPU), so the phase is recorded with the
-   cost model's verify cost. *)
-let verify_span t =
-  match t.spans with
-  | Some spans ->
-    Span.record spans ~source:(source t) ~start:(t.env.now ())
-      ~duration:t.config.Config.verify_cost "verify"
-  | None -> ()
+let emit t event = Trace.emit t.trace ~time:(t.env.now ()) ~source:(source t) event
 
 let id t = t.id
 let reads_issued t = t.reads_issued
@@ -256,26 +241,17 @@ let on_slave_excluded t ~slave_id =
 
 let tainted_reads t = t.tainted_reads
 
-let accept ?served_by t ~query ~request ~result ~version ~start ~retries ~double_checked
-    ~caught =
+let accept t ~query ~request ~start ~retries ~double_checked ~caught
+    { Slave.result; pledge } =
+  let served_by = pledge.Pledge.slave_id and version = Pledge.version pledge in
   t.reads_accepted <- t.reads_accepted + 1;
   Stats.incr t.stats "client.reads_accepted";
-  (match served_by with
-  | Some slave_id ->
-    note_accepted t ~slave_id;
-    note_slave_success t ~slave_id
-  | None -> ());
+  note_accepted t ~slave_id:served_by;
+  note_slave_success t ~slave_id:served_by;
   let latency = t.env.now () -. start in
   emit t
     (Event.Read_answered
-       {
-         client = t.id;
-         request;
-         slave = (match served_by with Some s -> s | None -> -1);
-         outcome = "accepted";
-         version;
-         latency;
-       });
+       { client = t.id; request; slave = served_by; outcome = "accepted"; version; latency });
   {
     query;
     request;
@@ -285,7 +261,7 @@ let accept ?served_by t ~query ~request ~result ~version ~start ~retries ~double
     retries;
     double_checked;
     caught_slave = caught;
-    served_by;
+    served_by = Some served_by;
   }
 
 (* A master read must still time out: during a master crash or a
@@ -355,361 +331,188 @@ let exhausted t ~query ~request ~start ~retries ~caught ~on_done =
         on_done report)
   end
 
-(* -- single-slave reads (the base protocol, §3.2-§3.3) --------------- *)
+(* -- reads: one slave (§3.2-§3.3) or a quorum of k (§4) ---------------- *)
 
-let rec single_attempt t ~query ~request ~dc_probability ~start ~retries ~caught ~on_done =
+(* Verify one slave's reply (§3.2).  Verification is instantaneous on
+   the simulated clock (the client is not a modelled CPU), so its span
+   takes the cost model's verify cost.  A pledge that failed only the
+   §3.1 freshness check is [`Stale]: freshness can recover without
+   switching slaves. *)
+let verify_reply t ~request ~slave_public ~master_public { Slave.result; pledge } =
+  Span.record t.spans ~source:(source t) ~start:(t.env.now ())
+    ~duration:t.config.Config.verify_cost "verify";
+  let slave = pledge.Pledge.slave_id and version = Pledge.version pledge in
+  match
+    Pledge.verify
+      ?expected_nonce:(if t.config.Config.read_nonces then Some request else None)
+      ~slave_public ~master_public ~result ~now:(t.env.now ()) ~max_latency:t.max_latency
+      pledge
+  with
+  | Ok () ->
+    emit t
+      (Event.Pledge_verified { client = t.id; request; slave; version; ok = true; reason = "" });
+    `Valid
+  | Error reason ->
+    Stats.incr t.stats "client.pledge_rejected";
+    if String.starts_with ~prefix:"nonce" reason then begin
+      Stats.incr t.stats "client.nonce_rejections";
+      t.env.note_nonce_reject ~slave
+    end;
+    emit t (Event.Pledge_verified { client = t.id; request; slave; version; ok = false; reason });
+    if String.starts_with ~prefix:"stale" reason then begin
+      t.stale_rejections <- t.stale_rejections + 1;
+      Stats.incr t.stats "client.stale_rejections";
+      t.env.note_stale_reject ~slave;
+      `Stale
+    end
+    else `Rejected
+
+(* The assigned slave plus, for k > 1, the first k - 1 healthy peers
+   (§4, second variant).  With fewer healthy peers the assigned slave
+   reads alone: a single-slave read is a quorum of one. *)
+let targets t ~k =
+  let assigned = t.env.slave_id () in
+  if k = 1 then [ assigned ]
+  else begin
+    let peers = List.filter (fun s -> not (is_quarantined t ~slave_id:s)) (t.env.peers ()) in
+    if List.length peers < k - 1 then [ assigned ]
+    else assigned :: List.filteri (fun i _ -> i < k - 1) peers
+  end
+
+let rec attempt t ~query ~request ~k ~dc_probability ~start ~retries ~caught ~on_done =
   if retries > t.config.Config.read_retry_limit then
     exhausted t ~query ~request ~start ~retries ~caught ~on_done
   else begin
     (* Route around a quarantined slave before even sending. *)
     if is_quarantined t ~slave_id:(t.env.slave_id ()) then
       t.env.reconnect ~avoid:(quarantined t);
-    let target = t.env.slave_id () in
+    let targets = targets t ~k in
     let settled = ref false in
+    let replied = ref [] in (* ids of the targets that answered *)
+    let valid = ref [] in (* (target, verified reply), newest first *)
+    let rejected = ref false in (* a reply was missing or failed for more than staleness *)
     let retry ~reconnect ~caught =
       if not !settled then begin
         settled := true;
         if reconnect then t.env.reconnect ~avoid:(quarantined t);
         Stats.incr t.stats "client.read_retries";
         t.env.schedule ~delay:(backoff_delay t ~retries) (fun () ->
-            single_attempt t ~query ~request ~dc_probability ~start ~retries:(retries + 1)
-              ~caught ~on_done)
+            attempt t ~query ~request ~k ~dc_probability ~start ~retries:(retries + 1) ~caught
+              ~on_done)
       end
     in
-    (* Arm the timeout for an Omit_result attacker or a dead slave. *)
+    let settle ~double_checked ~caught reply =
+      settled := true;
+      on_done (accept t ~query ~request ~start ~retries ~double_checked ~caught reply)
+    in
+    (* Arm the timeout for an Omit_result attacker, a dead slave or a
+       lost message.  It charges every target that never replied; a
+       timeout waiting on the master charges no slave. *)
     t.env.schedule ~delay:(read_timeout t) (fun () ->
         if not !settled then begin
-          note_timeout t ~slave_id:target;
+          (match List.filter (fun s -> not (List.mem s !replied)) targets with
+          | [] -> note_timeout t ~slave_id:(-1)
+          | silent -> List.iter (fun slave_id -> note_timeout t ~slave_id) silent);
           retry ~reconnect:true ~caught
         end);
-    let slave_public = t.env.slave_public () in
     let master_public = t.env.master_public () in
-    t.env.send_read ~request ~query ~reply:(fun reply ->
-        if not !settled then begin
-          match reply with
-          | None -> retry ~reconnect:true ~caught
-          | Some { Slave.result; pledge } -> begin
-            verify_span t;
-            match
-              Pledge.verify
-                ?expected_nonce:
-                  (if t.config.Config.read_nonces then Some request else None)
-                ~slave_public ~master_public ~result ~now:(t.env.now ())
-                ~max_latency:t.max_latency pledge
-            with
-            | Error reason ->
-              Stats.incr t.stats "client.pledge_rejected";
-              if String.length reason >= 5 && String.sub reason 0 5 = "nonce" then begin
-                Stats.incr t.stats "client.nonce_rejections";
-                t.env.note_nonce_reject ~slave:pledge.Pledge.slave_id
-              end;
-              emit t
-                (Event.Pledge_verified
-                   {
-                     client = t.id;
-                     request;
-                     slave = pledge.Pledge.slave_id;
-                     version = Pledge.version pledge;
-                     ok = false;
-                     reason;
-                   });
-              if String.length reason >= 5 && String.sub reason 0 5 = "stale" then begin
-                t.stale_rejections <- t.stale_rejections + 1;
-                Stats.incr t.stats "client.stale_rejections";
-                t.env.note_stale_reject ~slave:pledge.Pledge.slave_id;
-                (* Freshness can recover without switching slaves. *)
-                retry ~reconnect:false ~caught
-              end
-              else retry ~reconnect:true ~caught
-            | Ok () ->
-              emit t
-                (Event.Pledge_verified
-                   {
-                     client = t.id;
-                     request;
-                     slave = pledge.Pledge.slave_id;
-                     version = Pledge.version pledge;
-                     ok = true;
-                     reason = "";
-                   });
-              if Prng.bernoulli t.rng dc_probability then begin
-                Stats.incr t.stats "client.double_checks";
-                t.env.send_double_check ~query ~reply:(fun dc ->
-                    if not !settled then begin
-                      let dc_event outcome =
-                        emit t
-                          (Event.Double_check
-                             {
-                               client = t.id;
-                               request;
-                               slave = pledge.Pledge.slave_id;
-                               outcome;
-                             })
-                      in
-                      match dc with
-                      | Master.Throttled ->
-                        dc_event Event.Throttled;
-                        (* Quota enforced; fall back to the audit path. *)
-                        settled := true;
-                        t.env.forward_pledge pledge;
-                        on_done
-                          (accept t ~served_by:pledge.Pledge.slave_id ~query ~request
-                             ~result ~version:(Pledge.version pledge) ~start ~retries
-                             ~double_checked:false ~caught)
-                      | Master.Checked { digest; version } ->
-                        if version <> Pledge.version pledge then
-                          (* A write landed in between: inconclusive. *)
-                          retry ~reconnect:false ~caught
-                        else if String.equal digest pledge.Pledge.result_digest then begin
-                          settled := true;
-                          Stats.incr t.stats "client.double_checks_passed";
-                          dc_event Event.Passed;
-                          on_done
-                            (accept t ~served_by:pledge.Pledge.slave_id ~query ~request
-                               ~result ~version ~start ~retries ~double_checked:true ~caught)
-                        end
-                        else begin
-                          (* Immediate discovery (§3.5). *)
-                          Stats.incr t.stats "client.immediate_discoveries";
-                          dc_event Event.Mismatch;
-                          t.env.report_proof pledge;
-                          retry ~reconnect:true ~caught:(Some pledge.Pledge.slave_id)
-                        end
-                    end)
-              end
-              else begin
-                (* §3.4: forward the pledge *before* accepting. *)
-                settled := true;
-                t.env.forward_pledge pledge;
-                on_done
-                  (accept t ~served_by:pledge.Pledge.slave_id ~query ~request ~result
-                     ~version:(Pledge.version pledge) ~start ~retries ~double_checked:false
-                     ~caught)
-              end
-          end
-        end)
-  end
-
-(* -- quorum reads (§4, second variant) -------------------------------- *)
-
-let rec quorum_attempt t ~query ~request ~k ~dc_probability ~start ~retries ~caught
-    ~on_done =
-  if retries > t.config.Config.read_retry_limit then
-    exhausted t ~query ~request ~start ~retries ~caught ~on_done
-  else begin
-    let candidates =
-      List.filter (fun s -> not (is_quarantined t ~slave_id:s)) (t.env.quorum_candidates ())
-    in
-    let targets = List.filteri (fun i _ -> i < k) candidates in
-    if List.length targets < k then
-      (* Not enough distinct healthy slaves; degrade to the base protocol. *)
-      single_attempt t ~query ~request ~dc_probability ~start ~retries ~caught ~on_done
-    else begin
-      let settled = ref false in
-      let replies = ref [] in
-      let outstanding = ref (List.length targets) in
-      let retry ~caught =
-        if not !settled then begin
-          settled := true;
-          t.env.reconnect ~avoid:(quarantined t);
-          Stats.incr t.stats "client.read_retries";
-          t.env.schedule ~delay:(backoff_delay t ~retries) (fun () ->
-              quorum_attempt t ~query ~request ~k ~dc_probability ~start
-                ~retries:(retries + 1) ~caught ~on_done)
-        end
-      in
-      t.env.schedule ~delay:(read_timeout t) (fun () ->
-          if not !settled then begin
-            (* Charge the timeout to every slave that never replied. *)
-            List.iter
-              (fun s ->
-                if not (List.mem_assoc s !replies) then note_timeout t ~slave_id:s)
-              targets;
-            retry ~caught
-          end);
-      let master_public = t.env.master_public () in
-      let conclude () =
-        if not !settled then begin
-          (* Keep only protocol-valid replies. *)
-          let valid =
-            List.filter_map
-              (fun (slave_id, reply) ->
-                match reply with
-                | None -> None
-                | Some { Slave.result; pledge } -> begin
-                  match t.env.public_of_slave slave_id with
-                  | None -> None
-                  | Some slave_public -> begin
-                    verify_span t;
-                    match
-                      Pledge.verify
-                        ?expected_nonce:
-                          (if t.config.Config.read_nonces then Some request else None)
-                        ~slave_public ~master_public ~result
-                        ~now:(t.env.now ()) ~max_latency:t.max_latency pledge
-                    with
-                    | Ok () ->
-                      emit t
-                        (Event.Pledge_verified
-                           {
-                             client = t.id;
-                             request;
-                             slave = slave_id;
-                             version = Pledge.version pledge;
-                             ok = true;
-                             reason = "";
-                           });
-                      Some (slave_id, result, pledge)
-                    | Error reason ->
-                      emit t
-                        (Event.Pledge_verified
-                           {
-                             client = t.id;
-                             request;
-                             slave = slave_id;
-                             version = Pledge.version pledge;
-                             ok = false;
-                             reason;
-                           });
-                      if String.length reason >= 5 && String.sub reason 0 5 = "nonce"
-                      then begin
-                        Stats.incr t.stats "client.nonce_rejections";
-                        t.env.note_nonce_reject ~slave:slave_id
-                      end
-                      else if String.length reason >= 5 && String.sub reason 0 5 = "stale"
-                      then t.env.note_stale_reject ~slave:slave_id;
-                      None
-                  end
+    let conclude () =
+      match !valid with
+      | [] -> retry ~reconnect:!rejected ~caught
+      | (_, ({ Slave.pledge; _ } as first)) :: _ as replies ->
+        let each_pledge f = List.iter (fun (_, r) -> f r.Slave.pledge) replies in
+        (* §3.4: forward the pledges to the auditor *before* accepting. *)
+        let forward_and_accept () =
+          each_pledge t.env.forward_pledge;
+          settle ~double_checked:false ~caught first
+        in
+        let agrees (_, { Slave.pledge = p; _ }) =
+          String.equal p.Pledge.result_digest pledge.Pledge.result_digest
+          && Pledge.version p = Pledge.version pledge
+        in
+        if List.length replies = List.length targets && List.for_all agrees replies then begin
+          if not (Prng.bernoulli t.rng dc_probability) then forward_and_accept ()
+          else begin
+            Stats.incr t.stats "client.double_checks";
+            t.env.send_double_check ~query ~reply:(fun dc ->
+                if not !settled then begin
+                  let dc_event outcome =
+                    emit t
+                      (Event.Double_check
+                         { client = t.id; request; slave = pledge.Pledge.slave_id; outcome })
+                  in
+                  match dc with
+                  | Master.Throttled ->
+                    (* Quota enforced; fall back to the audit path. *)
+                    dc_event Event.Throttled;
+                    forward_and_accept ()
+                  | Master.Checked { digest; version } ->
+                    if version <> Pledge.version pledge then
+                      (* A write landed in between: inconclusive. *)
+                      retry ~reconnect:false ~caught
+                    else if String.equal digest pledge.Pledge.result_digest then begin
+                      Stats.incr t.stats "client.double_checks_passed";
+                      dc_event Event.Passed;
+                      settle ~double_checked:true ~caught first
+                    end
+                    else begin
+                      (* Immediate discovery (§3.5); with k > 1 the whole
+                         quorum colluded and every pledge is proof. *)
+                      Stats.incr t.stats "client.immediate_discoveries";
+                      dc_event Event.Mismatch;
+                      each_pledge t.env.report_proof;
+                      retry ~reconnect:true ~caught:(Some pledge.Pledge.slave_id)
+                    end
                 end)
-              !replies
-          in
-          match valid with
-          | [] -> retry ~caught
-          | (_, first_result, first_pledge) :: rest ->
-            let all_agree =
-              List.for_all
-                (fun (_, _, p) ->
-                  String.equal p.Pledge.result_digest first_pledge.Pledge.result_digest
-                  && Pledge.version p = Pledge.version first_pledge)
-                rest
-              && List.length valid = k
-            in
-            if all_agree then begin
-              if Prng.bernoulli t.rng dc_probability then begin
-                Stats.incr t.stats "client.double_checks";
-                t.env.send_double_check ~query ~reply:(fun dc ->
-                    if not !settled then begin
-                      let dc_event outcome =
-                        emit t
-                          (Event.Double_check
-                             {
-                               client = t.id;
-                               request;
-                               slave = first_pledge.Pledge.slave_id;
-                               outcome;
-                             })
-                      in
-                      match dc with
-                      | Master.Throttled ->
-                        dc_event Event.Throttled;
-                        settled := true;
-                        List.iter (fun (_, _, p) -> t.env.forward_pledge p) valid;
-                        on_done
-                          (accept t ~served_by:first_pledge.Pledge.slave_id ~query ~request
-                             ~result:first_result ~version:(Pledge.version first_pledge)
-                             ~start ~retries ~double_checked:false ~caught)
-                      | Master.Checked { digest; version } ->
-                        if version <> Pledge.version first_pledge then retry ~caught
-                        else if String.equal digest first_pledge.Pledge.result_digest
-                        then begin
-                          settled := true;
-                          Stats.incr t.stats "client.double_checks_passed";
-                          dc_event Event.Passed;
-                          on_done
-                            (accept t ~served_by:first_pledge.Pledge.slave_id ~query
-                               ~request ~result:first_result ~version ~start ~retries
-                               ~double_checked:true ~caught)
-                        end
-                        else begin
-                          (* The whole quorum colluded; every pledge is proof. *)
-                          dc_event Event.Mismatch;
-                          Stats.incr t.stats "client.immediate_discoveries";
-                          List.iter (fun (_, _, p) -> t.env.report_proof p) valid;
-                          retry ~caught:(Some first_pledge.Pledge.slave_id)
-                        end
-                    end)
-              end
-              else begin
-                settled := true;
-                List.iter (fun (_, _, p) -> t.env.forward_pledge p) valid;
-                on_done
-                  (accept t ~served_by:first_pledge.Pledge.slave_id ~query ~request
-                     ~result:first_result ~version:(Pledge.version first_pledge) ~start
-                     ~retries ~double_checked:false ~caught)
-              end
-            end
-            else begin
-              (* Disagreement: at least one slave lies; double-check is
-                 automatic (§4). *)
-              Stats.incr t.stats "client.quorum_mismatches";
-              Stats.incr t.stats "client.double_checks";
-              t.env.send_double_check ~query ~reply:(fun dc ->
-                  if not !settled then begin
-                    match dc with
-                    | Master.Throttled -> retry ~caught
-                    | Master.Checked { digest; version } ->
-                      let liars =
-                        List.filter
-                          (fun (_, _, p) ->
-                            Pledge.version p = version
-                            && not (String.equal p.Pledge.result_digest digest))
-                          valid
-                      in
-                      List.iter
-                        (fun (_, _, p) ->
-                          Stats.incr t.stats "client.immediate_discoveries";
-                          t.env.report_proof p)
-                        liars;
-                      let honest =
-                        List.find_opt
-                          (fun (_, _, p) ->
-                            Pledge.version p = version
-                            && String.equal p.Pledge.result_digest digest)
-                          valid
-                      in
-                      (match honest with
-                      | Some (_, result, pledge) ->
-                        settled := true;
-                        let caught =
-                          match liars with
-                          | (liar_id, _, _) :: _ -> Some liar_id
-                          | [] -> caught
-                        in
-                        on_done
-                          (accept t ~served_by:pledge.Pledge.slave_id ~query ~request
-                             ~result ~version:(Pledge.version pledge) ~start ~retries
-                             ~double_checked:true ~caught)
-                      | None ->
-                        let caught =
-                          match liars with
-                          | (liar_id, _, _) :: _ -> Some liar_id
-                          | [] -> caught
-                        in
-                        retry ~caught)
-                  end)
-            end
+          end
         end
-      in
-      List.iter
-        (fun slave_id ->
-          t.env.send_read_to ~slave_id ~request ~query ~reply:(fun reply ->
+        else begin
+          (* Disagreement: at least one slave lies, so the double-check
+             is automatic (§4). *)
+          Stats.incr t.stats "client.quorum_mismatches";
+          Stats.incr t.stats "client.double_checks";
+          t.env.send_double_check ~query ~reply:(fun dc ->
               if not !settled then begin
-                replies := (slave_id, reply) :: !replies;
-                decr outstanding;
-                if !outstanding = 0 then conclude ()
-              end))
-        targets
-    end
+                match dc with
+                | Master.Throttled -> retry ~reconnect:true ~caught
+                | Master.Checked { digest; version } ->
+                  let honest, liars =
+                    List.filter (fun (_, r) -> Pledge.version r.Slave.pledge = version) replies
+                    |> List.partition (fun (_, r) ->
+                           String.equal r.Slave.pledge.Pledge.result_digest digest)
+                  in
+                  List.iter
+                    (fun (_, r) ->
+                      Stats.incr t.stats "client.immediate_discoveries";
+                      t.env.report_proof r.Slave.pledge)
+                    liars;
+                  let caught = match liars with (liar, _) :: _ -> Some liar | [] -> caught in
+                  (match honest with
+                  | (_, reply) :: _ -> settle ~double_checked:true ~caught reply
+                  | [] -> retry ~reconnect:true ~caught)
+              end)
+        end
+    in
+    List.iter
+      (fun slave_id ->
+        t.env.send_read ~slave_id ~request ~query ~reply:(fun reply ->
+            if not !settled then begin
+              if not (List.mem slave_id !replied) then replied := slave_id :: !replied;
+              (* A duplicated delivery replaces the target's earlier reply. *)
+              valid := List.remove_assoc slave_id !valid;
+              (match reply with
+              | None -> rejected := true
+              | Some r -> (
+                match
+                  verify_reply t ~request ~slave_public:(t.env.public_of_slave slave_id)
+                    ~master_public r
+                with
+                | `Valid -> valid := (slave_id, r) :: !valid
+                | `Stale -> ()
+                | `Rejected -> rejected := true));
+              if List.length !replied = List.length targets then conclude ()
+            end))
+      targets
   end
 
 (* Request ids are globally unique and decodable: client 3's 14th read
@@ -717,29 +520,22 @@ let rec quorum_attempt t ~query ~request ~k ~dc_probability ~start ~retries ~cau
 let request_id_stride = 1_000_000
 
 let read t ?(level = Security_level.Normal) ?(mode = Single) query ~on_done =
+  let k = match mode with Single -> 1 | Quorum k -> k in
+  if k < 1 then invalid_arg "Client.read: quorum size must be at least 1";
   t.reads_issued <- t.reads_issued + 1;
   let request = (t.id * request_id_stride) + t.reads_issued in
   Stats.incr t.stats "client.reads_issued";
   let base = t.config.Config.double_check_probability in
+  let on_master = Security_level.executes_on_master ~base level in
   let mode_tag =
-    if Security_level.executes_on_master ~base level then "sensitive"
-    else match mode with Single -> "single" | Quorum k -> Printf.sprintf "quorum-%d" k
+    if on_master then "sensitive" else if k = 1 then "single" else Printf.sprintf "quorum-%d" k
   in
   emit t (Event.Read_issued { client = t.id; request; mode = mode_tag });
-  if Security_level.executes_on_master ~base level then
-    sensitive_read t query ~request ~on_done
-  else begin
-    let dc_probability = Security_level.double_check_probability ~base level in
-    let start = t.env.now () in
-    match mode with
-    | Single ->
-      single_attempt t ~query ~request ~dc_probability ~start ~retries:0 ~caught:None
-        ~on_done
-    | Quorum k ->
-      if k < 1 then invalid_arg "Client.read: quorum size must be at least 1";
-      quorum_attempt t ~query ~request ~k ~dc_probability ~start ~retries:0 ~caught:None
-        ~on_done
-  end
+  if on_master then sensitive_read t query ~request ~on_done
+  else
+    attempt t ~query ~request ~k
+      ~dc_probability:(Security_level.double_check_probability ~base level)
+      ~start:(t.env.now ()) ~retries:0 ~caught:None ~on_done
 
 let write t op ~on_done =
   Stats.incr t.stats "client.writes_issued";

@@ -8,13 +8,21 @@
     the same content version are immediate discovery: the pledge is
     sent to the master as proof (§3.5).
 
+    A quorum read (§4, second variant) sends the same query to the
+    assigned slave and k - 1 healthy peers; any disagreement triggers
+    an automatic double-check.  The base protocol is the quorum of
+    one, and both run the same read attempt.
+
     The connection endpoints are closures installed by the system
     layer so that reassignment after an exclusion or a master crash is
     transparent to the state machine here. *)
 
 type read_mode =
-  | Single  (** the base protocol *)
-  | Quorum of int  (** §4 variant 2: same read to k slaves *)
+  | Single  (** the base protocol: the same read as [Quorum 1] *)
+  | Quorum of int
+      (** §4 variant 2: same read to the assigned slave and k - 1
+          healthy peers; with fewer healthy peers the assigned slave
+          reads alone *)
 
 type read_report = {
   query : Secrep_store.Query.t;
@@ -39,23 +47,18 @@ type read_report = {
 type env = {
   now : unit -> float;
   schedule : delay:float -> (unit -> unit) -> unit;
-  slave_id : unit -> int;
-  slave_public : unit -> Secrep_crypto.Sig_scheme.public;
+  slave_id : unit -> int;  (** the assigned slave *)
+  peers : unit -> int list;
+      (** Live slaves other than the assigned one, those of the
+          client's master first: the candidates for a quorum read. *)
+  public_of_slave : int -> Secrep_crypto.Sig_scheme.public;
   master_public : unit -> Secrep_crypto.Sig_scheme.public;
   send_read :
-    request:int ->
-    query:Secrep_store.Query.t ->
-    reply:(Slave.read_reply option -> unit) ->
-    unit;
-  send_read_to :
     slave_id:int ->
     request:int ->
     query:Secrep_store.Query.t ->
     reply:(Slave.read_reply option -> unit) ->
     unit;
-  quorum_candidates : unit -> int list;
-      (** Slave ids available for quorum reads (assigned slave first). *)
-  public_of_slave : int -> Secrep_crypto.Sig_scheme.public option;
   send_double_check :
     query:Secrep_store.Query.t -> reply:(Master.double_check_reply -> unit) -> unit;
   send_sensitive :
@@ -90,8 +93,8 @@ val create :
   config:Config.t ->
   env:env ->
   stats:Secrep_sim.Stats.t ->
-  ?trace:Secrep_sim.Trace.t ->
-  ?spans:Secrep_sim.Span.t ->
+  trace:Secrep_sim.Trace.t ->
+  spans:Secrep_sim.Span.t ->
   ?max_latency_override:float ->
   unit ->
   t
@@ -111,6 +114,8 @@ val read :
   Secrep_store.Query.t ->
   on_done:(read_report -> unit) ->
   unit
+(** Raises [Invalid_argument] on [Quorum k] with [k < 1], before the
+    read is counted. *)
 
 val write : t -> Secrep_store.Oplog.op -> on_done:(Master.write_ack -> unit) -> unit
 
@@ -120,8 +125,11 @@ val reads_given_up : t -> int
 val stale_rejections : t -> int
 
 val read_timeouts : t -> int
-(** Read attempts that expired after [read_timeout_factor *.
-    max_latency] without a reply. *)
+(** Timeouts after [read_timeout_factor *. max_latency]: one per
+    target slave that never replied, or one when the missing answer
+    is the master's (a double-check after every target replied, or a
+    master read).  Only the former charge a slave's circuit
+    breaker. *)
 
 val degraded_reads : t -> int
 (** Reads served by the trusted master because no healthy slave

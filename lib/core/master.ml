@@ -32,8 +32,8 @@ type t = {
   oplog : Oplog.t;
   work : Work_queue.t;
   stats : Stats.t;
-  trace : Trace.t option;
-  spans : Span.t option;
+  trace : Trace.t;
+  spans : Span.t;
   greedy : Greedy.t;
   order_write : origin:int -> write_id:int -> Oplog.op -> unit;
   mutable acl : int list option;
@@ -55,24 +55,14 @@ type t = {
 let source t = Printf.sprintf "master-%d" t.id
 
 let trace t fmt =
-  Printf.ksprintf
-    (fun s ->
-      match t.trace with
-      | Some tr -> Trace.log tr ~time:(Sim.now t.sim) ~source:(source t) s
-      | None -> ())
-    fmt
+  Printf.ksprintf (fun s -> Trace.log t.trace ~time:(Sim.now t.sim) ~source:(source t) s) fmt
 
-let emit t event =
-  match t.trace with
-  | Some tr -> Trace.emit tr ~time:(Sim.now t.sim) ~source:(source t) event
-  | None -> ()
+let emit t event = Trace.emit t.trace ~time:(Sim.now t.sim) ~source:(source t) event
 
 let span t ~duration name =
-  match t.spans with
-  | Some spans -> Span.record spans ~source:(source t) ~start:(Sim.now t.sim) ~duration name
-  | None -> ()
+  Span.record t.spans ~source:(source t) ~start:(Sim.now t.sim) ~duration name
 
-let create sim ~rng ~id ~config ~content ~order_write ~stats ?trace:trace_buf ?spans () =
+let create sim ~rng ~id ~config ~content ~order_write ~stats ~trace ~spans =
   let key = Sig_scheme.generate config.Config.scheme rng in
   let certificate =
     Certificate.issue content ~master_id:id
@@ -90,7 +80,7 @@ let create sim ~rng ~id ~config ~content ~order_write ~stats ?trace:trace_buf ?s
     oplog = Oplog.create ();
     work = Work_queue.create sim ();
     stats;
-    trace = trace_buf;
+    trace;
     spans;
     greedy =
       Greedy.create ~window:config.Config.greedy_window ~factor:config.Config.greedy_factor

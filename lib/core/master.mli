@@ -29,9 +29,8 @@ val create :
   content:Content_key.t ->
   order_write:(origin:int -> write_id:int -> Secrep_store.Oplog.op -> unit) ->
   stats:Secrep_sim.Stats.t ->
-  ?trace:Secrep_sim.Trace.t ->
-  ?spans:Secrep_sim.Span.t ->
-  unit ->
+  trace:Secrep_sim.Trace.t ->
+  spans:Secrep_sim.Span.t ->
   t
 (** [order_write] hands the op to the total-order broadcast; the
     system layer routes delivered slots back via

@@ -39,8 +39,8 @@ type t = {
   store : Store.t;
   work : Work_queue.t;
   stats : Stats.t;
-  trace : Trace.t option;
-  spans : Span.t option;
+  trace : Trace.t;
+  spans : Span.t;
   mutable master_id : int;
   mutable behavior : Fault.behavior;
   mutable keepalive : Keepalive.t option;
@@ -57,7 +57,7 @@ type t = {
       (* (client, query digest, time) of the last lie — near-miss sensing *)
 }
 
-let create sim ~rng ~id ~config ~master_id ~stats ?trace ?spans () =
+let create sim ~rng ~id ~config ~master_id ~stats ~trace ~spans =
   {
     sim;
     rng;
@@ -85,15 +85,8 @@ let create sim ~rng ~id ~config ~master_id ~stats ?trace ?spans () =
 
 let source t = Printf.sprintf "slave-%d" t.id
 
-let emit t event =
-  match t.trace with
-  | Some tr -> Trace.emit tr ~time:(Sim.now t.sim) ~source:(source t) event
-  | None -> ()
-
-let span t ~start ~duration name =
-  match t.spans with
-  | Some spans -> Span.record spans ~source:(source t) ~start ~duration name
-  | None -> ()
+let emit t event = Trace.emit t.trace ~time:(Sim.now t.sim) ~source:(source t) event
+let span t ~start ~duration name = Span.record t.spans ~source:(source t) ~start ~duration name
 
 let id t = t.id
 let public t = Sig_scheme.public_of t.key

@@ -21,9 +21,8 @@ val create :
   config:Config.t ->
   master_id:int ->
   stats:Secrep_sim.Stats.t ->
-  ?trace:Secrep_sim.Trace.t ->
-  ?spans:Secrep_sim.Span.t ->
-  unit ->
+  trace:Secrep_sim.Trace.t ->
+  spans:Secrep_sim.Span.t ->
   t
 
 val id : t -> int

@@ -88,7 +88,6 @@ type t = {
   client_slave : int array;
   slave_master : int array;
   (* ground truth *)
-  track_ground_truth : bool;
   oracle : Store.t;
   oracle_snapshots : (int, Snapshot.t) Hashtbl.t;
   mutable oracle_buffer : Oplog.entry list;
@@ -180,38 +179,33 @@ let send t a b thunk =
 (* -- ground truth ---------------------------------------------------- *)
 
 let oracle_absorb t entry =
-  if t.track_ground_truth then begin
-    t.oracle_buffer <-
-      List.sort
-        (fun (a : Oplog.entry) b -> Int.compare a.version b.version)
-        (entry :: t.oracle_buffer);
-    let rec drain () =
-      match t.oracle_buffer with
-      | e :: rest when e.Oplog.version = Store.version t.oracle + 1 ->
-        Store.apply_entry t.oracle e;
-        Hashtbl.replace t.oracle_snapshots (Store.version t.oracle) (Store.snapshot t.oracle);
-        t.oracle_buffer <- rest;
-        drain ()
-      | e :: rest when e.Oplog.version <= Store.version t.oracle ->
-        t.oracle_buffer <- rest;
-        drain ()
-      | _ -> ()
-    in
-    drain ()
-  end
+  t.oracle_buffer <-
+    List.sort
+      (fun (a : Oplog.entry) b -> Int.compare a.version b.version)
+      (entry :: t.oracle_buffer);
+  let rec drain () =
+    match t.oracle_buffer with
+    | e :: rest when e.Oplog.version = Store.version t.oracle + 1 ->
+      Store.apply_entry t.oracle e;
+      Hashtbl.replace t.oracle_snapshots (Store.version t.oracle) (Store.snapshot t.oracle);
+      t.oracle_buffer <- rest;
+      drain ()
+    | e :: rest when e.Oplog.version <= Store.version t.oracle ->
+      t.oracle_buffer <- rest;
+      drain ()
+    | _ -> ()
+  in
+  drain ()
 
 let reexec_digest t ~version query =
-  if not t.track_ground_truth then None
-  else begin
-    match Hashtbl.find_opt t.oracle_snapshots version with
-    | None -> None
-    | Some snap ->
-      let scratch = Store.create () in
-      Store.restore scratch snap;
-      (match Query_eval.execute scratch query with
-      | Error _ -> None
-      | Ok { result; _ } -> Some (Canonical.result_digest result))
-  end
+  match Hashtbl.find_opt t.oracle_snapshots version with
+  | None -> None
+  | Some snap ->
+    let scratch = Store.create () in
+    Store.restore scratch snap;
+    (match Query_eval.execute scratch query with
+    | Error _ -> None
+    | Ok { result; _ } -> Some (Canonical.result_digest result))
 
 let check_result t ~version query ~digest =
   match reexec_digest t ~version query with
@@ -341,8 +335,7 @@ and exclude_slave t ~slave_id ~discovery =
 
 let create ?(n_masters = 3) ?(slaves_per_master = 4) ?(n_clients = 10) ?(n_auditors = 1)
     ?(config = Config.default) ?(net = default_net) ?(seed = 1L) ?(trace_capacity = 4096)
-    ?span_capacity ?(track_ground_truth = true)
-    ?(client_max_latency = fun (_ : int) -> None) () =
+    ?span_capacity ?(client_max_latency = fun (_ : int) -> None) () =
   let config = Config.validate_exn config in
   if n_masters < 1 then invalid_arg "System.create: need at least one master";
   if slaves_per_master < 1 then invalid_arg "System.create: need at least one slave per master";
@@ -379,14 +372,14 @@ let create ?(n_masters = 3) ?(slaves_per_master = 4) ?(n_clients = 10) ?(n_audit
         Master.create sim ~rng:(Prng.split rng) ~id ~config ~content
           ~order_write:(fun ~origin ~write_id op ->
             Total_order.broadcast group ~from:origin (Write { origin; write_id; op }))
-          ~stats ~trace ~spans ())
+          ~stats ~trace ~spans)
   in
   masters_ref := masters;
   Array.iter (fun m -> Directory.publish directory (Master.certificate m)) masters;
   let slaves =
     Array.init n_slaves (fun id ->
         Slave.create sim ~rng:(Prng.split rng) ~id ~config ~master_id:(id mod n_masters)
-          ~stats ~trace ~spans ())
+          ~stats ~trace ~spans)
   in
   let slave_master = Array.init n_slaves (fun id -> id mod n_masters) in
   let t_ref = ref None in
@@ -399,7 +392,7 @@ let create ?(n_masters = 3) ?(slaves_per_master = 4) ?(n_clients = 10) ?(n_audit
           ~report:(fun pledge ->
             exclude_slave (the ()) ~slave_id:pledge.Pledge.slave_id
               ~discovery:Corrective.Delayed)
-          ~trace ~spans ())
+          ~trace ~spans)
   in
   let t =
     {
@@ -429,7 +422,6 @@ let create ?(n_masters = 3) ?(slaves_per_master = 4) ?(n_clients = 10) ?(n_audit
       client_master = Array.make n_clients 0;
       client_slave = Array.make n_clients 0;
       slave_master;
-      track_ground_truth;
       oracle = Store.create ();
       oracle_snapshots = Hashtbl.create 64;
       oracle_buffer = [];
@@ -481,15 +473,30 @@ let create ?(n_masters = 3) ?(slaves_per_master = 4) ?(n_clients = 10) ?(n_audit
         Client.now = (fun () -> Sim.now t.sim);
         schedule = (fun ~delay f -> ignore (Sim.schedule t.sim ~delay f));
         slave_id = (fun () -> t.client_slave.(id));
-        slave_public = (fun () -> Slave.public t.slaves.(t.client_slave.(id)));
+        peers =
+          (fun () ->
+            let mine = t.client_slave.(id) in
+            let live =
+              Array.to_list t.slaves
+              |> List.filter (fun s ->
+                     Slave.id s <> mine
+                     && (not (Slave.is_excluded s))
+                     && (not (Hashtbl.mem t.crashed_slaves (Slave.id s)))
+                     && Slave.is_available s ~now:(Sim.now t.sim))
+              |> List.map Slave.id
+            in
+            let same_master, others =
+              List.partition (fun s -> t.slave_master.(s) = t.client_master.(id)) live
+            in
+            same_master @ others);
+        public_of_slave = (fun s_id -> Slave.public t.slaves.(s_id));
         master_public = (fun () -> Master.public t.masters.(t.client_master.(id)));
         send_read =
-          (fun ~request ~query ~reply ->
-            let s_id = t.client_slave.(id) in
-            let s = t.slaves.(s_id) in
+          (fun ~slave_id ~request ~query ~reply ->
+            let s = t.slaves.(slave_id) in
             Stats.add t.stats "system.query_bytes"
               (String.length (Secrep_store.Codec.encode_query query));
-            send t (C id) (S s_id) (fun () ->
+            send t (C id) (S slave_id) (fun () ->
                 Slave.handle_read s ~client:id ~request ~query ~reply:(fun r ->
                     (match r with
                     | Some { Slave.result; pledge } ->
@@ -498,40 +505,7 @@ let create ?(n_masters = 3) ?(slaves_per_master = 4) ?(n_clients = 10) ?(n_audit
                         + Wire.pledge_size pledge)
                     | None -> ());
                     let r = maybe_bitflip t r in
-                    send t (S s_id) (C id) (fun () -> reply r))));
-        send_read_to =
-          (fun ~slave_id ~request ~query ~reply ->
-            let s = t.slaves.(slave_id) in
-            send t (C id) (S slave_id) (fun () ->
-                Slave.handle_read s ~client:id ~request ~query ~reply:(fun r ->
-                    let r = maybe_bitflip t r in
                     send t (S slave_id) (C id) (fun () -> reply r))));
-        quorum_candidates =
-          (fun () ->
-            (* Assigned slave first, then the other live slaves of the
-               same master, then any other live slave. *)
-            let mine = t.client_slave.(id) in
-            let my_master = t.client_master.(id) in
-            let live =
-              Array.to_list t.slaves
-              |> List.filter (fun s ->
-                     (not (Slave.is_excluded s))
-                     && (not (Hashtbl.mem t.crashed_slaves (Slave.id s)))
-                     && Slave.is_available s ~now:(Sim.now t.sim))
-              |> List.map Slave.id
-            in
-            let same_master =
-              List.filter (fun s -> s <> mine && t.slave_master.(s) = my_master) live
-            in
-            let others =
-              List.filter (fun s -> s <> mine && t.slave_master.(s) <> my_master) live
-            in
-            if List.mem mine live then (mine :: same_master) @ others
-            else same_master @ others);
-        public_of_slave =
-          (fun s_id ->
-            if s_id >= 0 && s_id < Array.length t.slaves then Some (Slave.public t.slaves.(s_id))
-            else None);
         send_double_check =
           (fun ~query ~reply ->
             let m_id = t.client_master.(id) in

@@ -31,15 +31,13 @@ val create :
   ?seed:int64 ->
   ?trace_capacity:int ->
   ?span_capacity:int ->
-  ?track_ground_truth:bool ->
   ?client_max_latency:(int -> float option) ->
   unit ->
   t
 (** Defaults: 3 masters, 4 slaves each, 10 clients, seed 1.  Creation
-    runs the setup phase for every client and starts keep-alives.
-    [track_ground_truth] (default true) keeps per-version oracle
-    snapshots so accepted reads can be labelled correct/wrong.
-    [client_max_latency] implements the §3.2 refinement: clients it
+    runs the setup phase for every client and starts keep-alives.  The
+    system keeps per-version oracle snapshots so accepted reads can be
+    labelled correct/wrong.  [client_max_latency] implements the §3.2 refinement: clients it
     returns [Some bound] for use their own freshness bound instead of
     the system-wide [max_latency]. *)
 

@@ -1,12 +1,10 @@
 module Trace = Secrep_sim.Trace
-module Span = Secrep_sim.Span
 module Json = Secrep_sim.Export.Json
 
 type diagnostics = {
   trace_capacity : int option;
   trace_total : int option;
   trace_wrapped : bool;
-  leaked_spans : (string * string * float) list;
 }
 
 type t = {
@@ -19,7 +17,7 @@ type t = {
   diagnostics : diagnostics;
 }
 
-let build ?trace ?spans ~slo ~lineage () =
+let build ?trace ~slo ~lineage () =
   Lineage.finalize lineage;
   {
     alerts = Slo.alerts slo;
@@ -33,11 +31,10 @@ let build ?trace ?spans ~slo ~lineage () =
         trace_capacity = Option.map Trace.capacity trace;
         trace_total = Option.map Trace.total_logged trace;
         trace_wrapped = (match trace with Some tr -> Trace.wrapped tr | None -> false);
-        leaked_spans = (match spans with Some sp -> Span.leaked sp | None -> []);
       };
   }
 
-let healthy t = t.alerts = [] && t.diagnostics.leaked_spans = []
+let healthy t = t.alerts = []
 
 let opt_num = function Some x -> Json.Num x | None -> Json.Null
 let opt_int = function Some x -> Json.Int x | None -> Json.Null
@@ -95,17 +92,6 @@ let to_json t =
             ("trace_capacity", opt_int t.diagnostics.trace_capacity);
             ("trace_total", opt_int t.diagnostics.trace_total);
             ("trace_wrapped", Json.Bool t.diagnostics.trace_wrapped);
-            ( "leaked_spans",
-              Json.Arr
-                (List.map
-                   (fun (name, source, start) ->
-                     Json.Obj
-                       [
-                         ("name", Json.Str name);
-                         ("source", Json.Str source);
-                         ("start", Json.Num start);
-                       ])
-                   t.diagnostics.leaked_spans) );
           ] );
     ]
 
@@ -157,7 +143,7 @@ let pp fmt t =
       t.clients
   end;
   fprintf fmt "@.diagnostics:@.";
-  (match (t.diagnostics.trace_total, t.diagnostics.trace_capacity) with
+  match (t.diagnostics.trace_total, t.diagnostics.trace_capacity) with
   | Some total, Some cap ->
     if t.diagnostics.trace_wrapped then
       fprintf fmt
@@ -165,12 +151,4 @@ let pp fmt t =
          were dropped; rerun with a larger --trace-capacity for a complete trace@."
         total cap
     else fprintf fmt "  trace ring: %d/%d events, no wrap@." total cap
-  | _ -> fprintf fmt "  trace ring: not attached@.");
-  match t.diagnostics.leaked_spans with
-  | [] -> fprintf fmt "  spans: none leaked@."
-  | leaks ->
-    fprintf fmt "  WARNING: %d span(s) started but never finished:@." (List.length leaks);
-    List.iter
-      (fun (name, source, start) ->
-        fprintf fmt "    %s (source %s, started %.4f)@." name source start)
-      leaks
+  | _ -> fprintf fmt "  trace ring: not attached@."

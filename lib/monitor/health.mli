@@ -6,8 +6,6 @@ type diagnostics = {
   trace_capacity : int option;
   trace_total : int option;
   trace_wrapped : bool;  (** ring overwrote records; trace is partial *)
-  leaked_spans : (string * string * float) list;
-      (** (name, source, start) of spans started but never finished *)
 }
 
 type t = {
@@ -23,7 +21,6 @@ type t = {
 
 val build :
   ?trace:Secrep_sim.Trace.t ->
-  ?spans:Secrep_sim.Span.t ->
   slo:Slo.t ->
   lineage:Lineage.t ->
   unit ->
@@ -31,7 +28,7 @@ val build :
 (** Call after [Slo.finalize]; finalizes [lineage] itself. *)
 
 val healthy : t -> bool
-(** No alerts were ever raised and no spans leaked. *)
+(** No alerts were ever raised. *)
 
 val to_json : t -> Secrep_sim.Export.Json.t
 val pp : Format.formatter -> t -> unit

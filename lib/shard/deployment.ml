@@ -193,8 +193,8 @@ let rebalance_slot t sh ~slot ~reason =
 
 let create ~n_shards ?(n_masters = 1) ?(replication_factor = 3) ?(n_clients = 2)
     ?pool_size ?(config = Config.default) ?net ?(seed = 1L) ?(items_per_shard = 0)
-    ?audit_queue_total ?slice ?(auto_rebalance = true) ?provision_delay
-    ?track_ground_truth ?trace_capacity ?span_capacity ?(domains = 0) () =
+    ?audit_queue_total ?(auto_rebalance = true) ?trace_capacity ?span_capacity
+    ?(domains = 0) () =
   if n_shards < 1 then invalid_arg "Deployment.create: n_shards must be at least 1";
   if domains < 0 then invalid_arg "Deployment.create: domains must be non-negative";
   let slaves_per_master = max 1 (replication_factor / max 1 n_masters) in
@@ -203,14 +203,8 @@ let create ~n_shards ?(n_masters = 1) ?(replication_factor = 3) ?(n_clients = 2)
     match pool_size with Some p -> max p replication | None -> (2 * replication) + 2
   in
   let config = shard_config ?audit_queue_total ~n_shards config in
-  let provision_delay =
-    match provision_delay with
-    | Some d -> d
-    | None -> 2.0 *. config.Config.keepalive_period
-  in
-  let slice =
-    match slice with Some s -> s | None -> Float.max config.Config.keepalive_period 0.5
-  in
+  let provision_delay = 2.0 *. config.Config.keepalive_period in
+  let slice = Float.max config.Config.keepalive_period 0.5 in
   let directory = Directory.create () in
   let trace = Trace.create ?capacity:trace_capacity () in
   let by_content = Hashtbl.create n_shards in
@@ -238,7 +232,7 @@ let create ~n_shards ?(n_masters = 1) ?(replication_factor = 3) ?(n_clients = 2)
     Array.init n_shards (fun k ->
         let system =
           System.create ~n_masters ~slaves_per_master ~n_clients ~config ?net
-            ~seed:(shard_seed ~seed k) ?track_ground_truth ?trace_capacity ?span_capacity ()
+            ~seed:(shard_seed ~seed k) ?trace_capacity ?span_capacity ()
         in
         let keys =
           if items_per_shard > 0 then begin

@@ -2,8 +2,9 @@
     shared slave-host pool.
 
     Each shard is an unmodified {!Secrep_core.System} with its own
-    deterministically derived seed, advanced in lockstep time slices by
-    one shared bounded scheduler.  Cross-shard coupling is explicit and
+    deterministically derived seed, advanced in lockstep time slices
+    (the larger of one keep-alive period and 0.5 s) by one shared
+    bounded scheduler.  Cross-shard coupling is explicit and
     side-effect-free for the shard streams: a shared directory holding
     every shard's master certificates, rendezvous placement of replicas
     on pool hosts, host-level chaos that fans out to every co-located
@@ -43,10 +44,7 @@ val create :
   ?seed:int64 ->
   ?items_per_shard:int ->
   ?audit_queue_total:int ->
-  ?slice:float ->
   ?auto_rebalance:bool ->
-  ?provision_delay:float ->
-  ?track_ground_truth:bool ->
   ?trace_capacity:int ->
   ?span_capacity:int ->
   ?domains:int ->
@@ -58,8 +56,8 @@ val create :
     {!shard_content_seed}).  [audit_queue_total] divides one global
     auditor queue capacity evenly across shards.  [auto_rebalance]
     (default true) re-homes replicas off crashed hosts and excluded
-    slaves onto fresh pool hosts after [provision_delay] (default two
-    keep-alive periods); turn it off for strict differential runs
+    slaves onto fresh pool hosts after a provisioning delay of two
+    keep-alive periods; turn it off for strict differential runs
     against standalone systems that lack a re-homing operator.
     [trace_capacity] and [span_capacity] size each shard's trace and
     span rings (the deployment trace takes [trace_capacity] too).
@@ -169,7 +167,7 @@ val schedule : t -> shard:int -> time:float -> (unit -> unit) -> unit
 val crash_host : t -> at:float -> int -> unit
 (** Fail-stop every replica on the host.  With [auto_rebalance], each
     replica is re-homed to a fresh host and reinstated from a master
-    checkpoint after [provision_delay] (unless the host recovered
+    checkpoint after the provisioning delay (unless the host recovered
     first). *)
 
 val recover_host : t -> at:float -> int -> unit

@@ -1,13 +1,4 @@
-type record = { name : string; source : string; start : float; duration : float; depth : int }
-
-type active = {
-  a_id : int;
-  a_name : string;
-  a_source : string;
-  a_start : float;
-  a_depth : int;
-  mutable a_finished : bool;
-}
+type record = { name : string; source : string; start : float; duration : float }
 
 type t = {
   capacity : int;
@@ -15,89 +6,25 @@ type t = {
   mutable next : int;
   mutable total : int;
   stats : Stats.t option;
-  open_by_source : (string, int) Hashtbl.t;
-  mutable open_count : int;
-  mutable next_id : int;
-  live : (int, active) Hashtbl.t;
 }
 
 let create ?(capacity = 4096) ?stats () =
   if capacity <= 0 then invalid_arg "Span.create: capacity must be positive";
-  {
-    capacity;
-    ring = Array.make capacity None;
-    next = 0;
-    total = 0;
-    stats;
-    open_by_source = Hashtbl.create 16;
-    open_count = 0;
-    next_id = 0;
-    live = Hashtbl.create 16;
-  }
+  { capacity; ring = Array.make capacity None; next = 0; total = 0; stats }
 
 let histogram_name name = "span." ^ name
 
-let push t r =
-  t.ring.(t.next) <- Some r;
+let record t ~source ~start ~duration name =
+  if duration < 0.0 || Float.is_nan duration then invalid_arg "Span.record: bad duration";
+  t.ring.(t.next) <- Some { name; source; start; duration };
   t.next <- (t.next + 1) mod t.capacity;
   t.total <- t.total + 1;
   match t.stats with
-  | Some stats -> Histogram.add (Stats.histogram stats (histogram_name r.name)) r.duration
+  | Some stats -> Histogram.add (Stats.histogram stats (histogram_name name)) duration
   | None -> ()
-
-let record t ~source ~start ~duration name =
-  if duration < 0.0 || Float.is_nan duration then invalid_arg "Span.record: bad duration";
-  push t { name; source; start; duration; depth = 0 }
-
-let depth_of t source =
-  match Hashtbl.find_opt t.open_by_source source with Some d -> d | None -> 0
-
-let start t ~now ~source name =
-  let depth = depth_of t source in
-  Hashtbl.replace t.open_by_source source (depth + 1);
-  t.open_count <- t.open_count + 1;
-  let a =
-    {
-      a_id = t.next_id;
-      a_name = name;
-      a_source = source;
-      a_start = now;
-      a_depth = depth;
-      a_finished = false;
-    }
-  in
-  t.next_id <- t.next_id + 1;
-  Hashtbl.replace t.live a.a_id a;
-  a
-
-let finish t a ~now =
-  if a.a_finished then invalid_arg "Span.finish: span already finished";
-  if now < a.a_start then invalid_arg "Span.finish: clock went backwards";
-  a.a_finished <- true;
-  t.open_count <- t.open_count - 1;
-  Hashtbl.remove t.live a.a_id;
-  (match Hashtbl.find_opt t.open_by_source a.a_source with
-  | Some d when d > 1 -> Hashtbl.replace t.open_by_source a.a_source (d - 1)
-  | Some _ -> Hashtbl.remove t.open_by_source a.a_source
-  | None -> ());
-  push t
-    {
-      name = a.a_name;
-      source = a.a_source;
-      start = a.a_start;
-      duration = now -. a.a_start;
-      depth = a.a_depth;
-    }
 
 let size t = min t.total t.capacity
 let total_finished t = t.total
-let active_count t = t.open_count
-let capacity t = t.capacity
-
-let leaked t =
-  Hashtbl.fold (fun _ a acc -> (a.a_start, a.a_name, a.a_source) :: acc) t.live []
-  |> List.sort compare
-  |> List.map (fun (start, name, source) -> (name, source, start))
 
 let finished t =
   let n = size t in
@@ -109,8 +36,3 @@ let finished t =
     | None -> assert false
   done;
   !out
-
-let pp_record fmt r =
-  Format.fprintf fmt "[%10.6f] %-16s %s%s dur=%.6f" r.start r.source
-    (String.make (2 * r.depth) ' ')
-    r.name r.duration

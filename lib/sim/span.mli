@@ -2,60 +2,30 @@
 
     A span measures how long a request phase (sign, verify,
     query-eval, network hop, audit re-execution) took in simulated
-    time.  Finishing a span appends a bounded-ring record for the
+    time.  Every producer knows the duration when it records the span
+    (from the cost model, or at message delivery), so a span is one
+    {!record} call: it appends a bounded-ring record for the
     Chrome-trace exporter and feeds the ["span.<name>"] histogram of
-    the attached {!Stats.t}, so p50/p95/p99 per phase come for free.
-
-    Two usage styles:
-    - {!start} / {!finish} around an asynchronous phase (the common
-      case; nesting per source is tracked as [depth]);
-    - {!record} when the duration is already known from the cost
-      model (e.g. a work-queue submission's [cost]), which cannot leak
-      an unfinished span when the completion callback is dropped. *)
+    the attached {!Stats.t}, so p50/p95/p99 per phase come for free. *)
 
 type t
 
-type record = {
-  name : string;
-  source : string;
-  start : float;
-  duration : float;
-  depth : int;  (** spans of the same source already open at [start] *)
-}
-
-type active
+type record = { name : string; source : string; start : float; duration : float }
 
 val create : ?capacity:int -> ?stats:Stats.t -> unit -> t
-(** Default ring capacity: 4096 finished spans. *)
-
-val start : t -> now:float -> source:string -> string -> active
-
-val finish : t -> active -> now:float -> unit
-(** Raises [Invalid_argument] on double-finish or a backwards clock. *)
+(** Default ring capacity: 4096 spans. *)
 
 val record : t -> source:string -> start:float -> duration:float -> string -> unit
-(** Record a span whose duration is already known (depth 0). *)
+(** Raises [Invalid_argument] on a negative or NaN duration. *)
 
 val size : t -> int
-(** Finished spans still retained. *)
+(** Spans still retained. *)
 
 val total_finished : t -> int
-val active_count : t -> int
-
-val capacity : t -> int
-(** Ring capacity for finished spans. *)
-
-val leaked : t -> (string * string * float) list
-(** Started-but-never-finished spans as [(name, source, start)],
-    ordered by start time.  A non-empty list at end of run means a
-    completion callback was dropped (e.g. a reply lost to a crash) —
-    the end-of-run health report prints these instead of silently
-    discarding them. *)
+(** Spans recorded since creation, including those the ring dropped. *)
 
 val finished : t -> record list
 (** Oldest first (of what is still retained). *)
 
 val histogram_name : string -> string
 (** ["span." ^ name]: the {!Stats} histogram a span feeds. *)
-
-val pp_record : Format.formatter -> record -> unit

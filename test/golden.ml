@@ -1,14 +1,15 @@
 (* Golden corpus: the seeded outputs this repository keeps byte-identical.
 
-   Usage: golden.exe BENCH CLI   (paths to bench/main.exe and
-   bin/secrep_sim_cli.exe)
+   Usage: golden.exe BENCH CLI EXAMPLE...   (paths to bench/main.exe,
+   bin/secrep_sim_cli.exe and the examples/*.exe programs)
 
-   Prints quick-mode E1-E13 and five pinned CLI commands in one stable
-   rendering, which `dune runtest` diffs against golden.expected; after
-   an intended change `dune promote` rewrites that file.  Lines ending
-   in Exp_common.wall_clock_mark are the only ones that vary between
-   runs of one build, and each is replaced by the mark alone.  CLI
-   stdout is kept verbatim and each trace file reduced to its SHA-256. *)
+   Prints quick-mode E1-E13, five pinned CLI commands and the four
+   example programs in one stable rendering, which `dune runtest` diffs
+   against golden.expected; after an intended change `dune promote`
+   rewrites that file.  Lines ending in Exp_common.wall_clock_mark are
+   the only ones that vary between runs of one build, and each is
+   replaced by the mark alone.  CLI and example stdout is kept verbatim
+   and each trace file reduced to its SHA-256. *)
 
 let wall_clock = Secrep_experiments.Exp_common.wall_clock_mark
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -67,11 +68,16 @@ let command cli line =
          | Error e -> "no, " ^ e)
   end
 
+let example exe =
+  let status, stdout = run exe [] in
+  Printf.printf "\n== examples/%s ==\n%s\n%s" (Filename.basename exe) status stdout
+
 let () =
-  match Sys.argv with
-  | [| _; bench; cli |] ->
+  match Array.to_list Sys.argv with
+  | _ :: bench :: cli :: examples ->
     experiments bench;
-    List.iter (command cli) pinned
+    List.iter (command cli) pinned;
+    List.iter example examples
   | _ ->
-    prerr_endline "usage: golden.exe BENCH CLI";
+    prerr_endline "usage: golden.exe BENCH CLI EXAMPLE...";
     exit 2

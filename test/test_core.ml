@@ -894,6 +894,79 @@ let test_e2e_quorum_read_honest () =
   | None -> Alcotest.fail "read never completed");
   check int_t "no mismatch" 0 (Stats.get (System.stats system) "client.quorum_mismatches")
 
+(* A single-slave read is a quorum of one.  E8's topology under 20%
+   loss exercises timeouts, retries, breakers and reconnects, and the
+   two modes must still produce the same event stream. *)
+let e8_lossy_stream ~seed mode =
+  let config =
+    {
+      Config.default with
+      Config.double_check_probability = 0.05;
+      audit_enabled = false;
+      read_retry_limit = 4;
+    }
+  in
+  let system =
+    System.create ~n_masters:1 ~slaves_per_master:4 ~n_clients:4 ~config
+      ~net:{ System.lan_net with System.loss = 0.2 }
+      ~seed ()
+  in
+  System.load_content system
+    (Secrep_workload.Catalog.product_catalog (Prng.create ~seed:(Int64.add seed 11L)) ~n:60);
+  let events = ref [] in
+  Trace.on_emit (System.trace system) (fun r ->
+      events :=
+        Printf.sprintf "%.9f %s %s" r.Trace.time r.Trace.source (Event.to_string r.Trace.event)
+        :: !events);
+  for i = 0 to 199 do
+    ignore
+      (Sim.schedule (System.sim system) ~delay:(0.25 *. float_of_int i) (fun () ->
+           System.read system ~client:(i mod 4) ~mode
+             (Query.point_read (Printf.sprintf "product:%05d" (i mod 60)))
+             ~on_done:ignore))
+  done;
+  System.run_for system 170.0;
+  List.rev !events
+
+let test_quorum_of_one_is_single () =
+  List.iter
+    (fun seed ->
+      check (Alcotest.list string_t)
+        (Printf.sprintf "seed %Ld: same event stream" seed)
+        (e8_lossy_stream ~seed Client.Single)
+        (e8_lossy_stream ~seed (Client.Quorum 1)))
+    [ 1L; 2L ]
+
+(* A double-check reply lost on the client-master link is the master's
+   silence, not the slave's: the timeout counts, but charges no slave's
+   circuit breaker. *)
+let test_lost_double_check_charges_no_slave () =
+  let config = { Config.default with Config.double_check_probability = 1.0 } in
+  let system = make_system ~config ~n_clients:1 ~seed:3L () in
+  System.set_master_connectivity system ~master_id:(System.master_of_client system 0)
+    ~up:false;
+  let breaker_events = ref 0 in
+  Trace.on_emit (System.trace system) (fun r ->
+      if Event.kind r.Trace.event = "breaker_opened" then incr breaker_events);
+  let reports = ref [] in
+  for i = 0 to 3 do
+    ignore
+      (Sim.schedule (System.sim system) ~delay:(float_of_int i) (fun () ->
+           System.read system ~client:0
+             (Query.point_read (Printf.sprintf "item:%03d" i))
+             ~on_done:(fun r -> reports := r :: !reports)))
+  done;
+  System.run_for system 60.0;
+  let stats = System.stats system in
+  check int_t "no breaker_opened event" 0 !breaker_events;
+  check int_t "client.breaker_opened" 0 (Stats.get stats "client.breaker_opened");
+  check int_t "client.read_timeouts" 4 (Stats.get stats "client.read_timeouts");
+  check int_t "all four accepted" 4
+    (List.length
+       (List.filter
+          (fun r -> match r.Client.outcome with `Accepted _ -> true | _ -> false)
+          !reports))
+
 let test_e2e_write_rate_limited () =
   let system = make_system () in
   (* Fire 5 writes in quick succession; the §3.1 rule forces commits at
@@ -1662,6 +1735,9 @@ let () =
           Alcotest.test_case "quorum read detects mismatch" `Quick
             test_e2e_quorum_read_detects_mismatch;
           Alcotest.test_case "quorum read honest" `Quick test_e2e_quorum_read_honest;
+          Alcotest.test_case "quorum of one is single" `Quick test_quorum_of_one_is_single;
+          Alcotest.test_case "lost double-check charges no slave" `Quick
+            test_lost_double_check_charges_no_slave;
           Alcotest.test_case "write rate limited" `Quick test_e2e_write_rate_limited;
           Alcotest.test_case "write ACL" `Quick test_e2e_write_acl;
           Alcotest.test_case "master crash failover" `Quick test_e2e_master_crash_failover;

@@ -99,9 +99,8 @@ let test_clean_run_zero_alerts () =
     (fun (p : Lineage.phase) ->
       check int_t (p.Lineage.phase ^ " counted") 40 p.Lineage.count)
     s.Lineage.critical_path;
-  let health = Health.build ~trace:(System.trace system) ~spans:(System.spans system) ~slo ~lineage () in
+  let health = Health.build ~trace:(System.trace system) ~slo ~lineage () in
   check bool_t "healthy" true (Health.healthy health);
-  check int_t "no leaked spans" 0 (List.length health.Health.diagnostics.Health.leaked_spans);
   (* lineage JSONL: one object per request, parseable *)
   let lines = String.split_on_char '\n' (String.trim (Lineage.jsonl lineage)) in
   check int_t "one lineage line per read" 40 (List.length lines);

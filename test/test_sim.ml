@@ -613,16 +613,14 @@ let test_event_fields_roundtrip () =
 let test_span_nesting_and_durations () =
   let stats = Stats.create () in
   let sp = Span.create ~stats () in
-  (* outer [0,10], inner [2,5]; a sibling source nests independently. *)
-  let outer = Span.start sp ~now:0.0 ~source:"a" "outer" in
-  let inner = Span.start sp ~now:2.0 ~source:"a" "inner" in
-  let other = Span.start sp ~now:3.0 ~source:"b" "other" in
-  check int_t "three active" 3 (Span.active_count sp);
-  Span.finish sp inner ~now:5.0;
-  Span.finish sp other ~now:4.0;
-  Span.finish sp outer ~now:10.0;
-  check int_t "none active" 0 (Span.active_count sp);
-  check int_t "all finished" 3 (Span.total_finished sp);
+  (* outer [0,10] encloses inner [2,5]; a sibling source overlaps both.
+     Each is recorded once its duration is known, innermost first. *)
+  Span.record sp ~source:"a" ~start:2.0 ~duration:3.0 "inner";
+  Span.record sp ~source:"b" ~start:3.0 ~duration:1.0 "other";
+  Span.record sp ~source:"a" ~start:0.0 ~duration:10.0 "outer";
+  check int_t "all recorded" 3 (Span.total_finished sp);
+  check (Alcotest.list Alcotest.string) "kept in record order" [ "inner"; "other"; "outer" ]
+    (List.map (fun r -> r.Span.name) (Span.finished sp));
   let by_name name =
     match List.find_opt (fun r -> r.Span.name = name) (Span.finished sp) with
     | Some r -> r
@@ -630,64 +628,31 @@ let test_span_nesting_and_durations () =
   in
   check float_t "outer duration" 10.0 (by_name "outer").Span.duration;
   check float_t "inner duration" 3.0 (by_name "inner").Span.duration;
-  check int_t "outer depth" 0 (by_name "outer").Span.depth;
-  check int_t "inner depth" 1 (by_name "inner").Span.depth;
-  check int_t "sibling source depth" 0 (by_name "other").Span.depth;
-  (* Finishing feeds the span.<name> histogram of the attached stats. *)
+  check float_t "inner start" 2.0 (by_name "inner").Span.start;
+  check Alcotest.string "sibling source" "b" (by_name "other").Span.source;
+  (* Recording feeds the span.<name> histogram of the attached stats. *)
   let h = Stats.histogram stats (Span.histogram_name "inner") in
   check int_t "histogram fed" 1 (Histogram.count h);
   check float_t "histogram value" 3.0 (Histogram.mean h)
 
 let test_span_record_and_errors () =
-  let sp = Span.create () in
+  let sp = Span.create ~capacity:3 () in
   Span.record sp ~source:"s" ~start:1.0 ~duration:0.5 "phase";
   check int_t "recorded" 1 (Span.total_finished sp);
-  let a = Span.start sp ~now:2.0 ~source:"s" "x" in
-  Span.finish sp a ~now:3.0;
-  Alcotest.check_raises "double finish"
-    (Invalid_argument "Span.finish: span already finished") (fun () ->
-      Span.finish sp a ~now:4.0);
-  let b = Span.start sp ~now:5.0 ~source:"s" "y" in
-  Alcotest.check_raises "backwards clock"
-    (Invalid_argument "Span.finish: clock went backwards") (fun () ->
-      Span.finish sp b ~now:4.0)
-
-let test_span_leaks_under_wrap () =
-  (* Regression: leak diagnostics must not be confused by the finished
-     ring wrapping.  Spans opened AND closed inside the same wrap
-     window fall out of the retained ring, but they are finished — the
-     leak report must count only the genuinely unfinished ones, with
-     exact identities, no matter how many times the ring turned over. *)
-  let sp = Span.create ~capacity:3 () in
-  let leaked_expected = ref [] in
-  (* 5 windows; each opens 4 spans and finishes 3 (one per window
-     leaks), so every window overflows the capacity-3 ring on its own
-     and the churned spans vanish from [finished] entirely. *)
-  for w = 0 to 4 do
-    let t0 = 10.0 *. float_of_int w in
-    let name i = Printf.sprintf "w%d-s%d" w i in
-    let leak = Span.start sp ~now:t0 ~source:"leaky" (name 0) in
-    ignore leak;
-    leaked_expected := (name 0, "leaky", t0) :: !leaked_expected;
-    for i = 1 to 3 do
-      let a = Span.start sp ~now:(t0 +. float_of_int i) ~source:"busy" (name i) in
-      Span.finish sp a ~now:(t0 +. float_of_int i +. 0.5)
-    done
+  Alcotest.check_raises "negative duration" (Invalid_argument "Span.record: bad duration")
+    (fun () -> Span.record sp ~source:"s" ~start:2.0 ~duration:(-1.0) "x");
+  Alcotest.check_raises "NaN duration" (Invalid_argument "Span.record: bad duration")
+    (fun () -> Span.record sp ~source:"s" ~start:2.0 ~duration:Float.nan "x");
+  check int_t "rejected spans not counted" 1 (Span.total_finished sp);
+  (* Past capacity the ring keeps the newest spans, oldest first, and
+     the total still counts every record. *)
+  for i = 1 to 4 do
+    Span.record sp ~source:"s" ~start:(float_of_int i) ~duration:0.0 (Printf.sprintf "w%d" i)
   done;
   check int_t "ring pinned at capacity" 3 (Span.size sp);
-  check int_t "every close counted" 15 (Span.total_finished sp);
-  check int_t "active = opens - closes" 5 (Span.active_count sp);
-  let leaks = Span.leaked sp in
-  check int_t "exactly the unfinished spans leak" 5 (List.length leaks);
-  check
-    (Alcotest.list (Alcotest.triple Alcotest.string Alcotest.string float_t))
-    "leak identities, ordered by start" (List.rev !leaked_expected) leaks;
-  (* Closing a survivor after heavy wrap removes it from the report. *)
-  let late = Span.start sp ~now:100.0 ~source:"late" "late" in
-  check int_t "new open visible" 6 (List.length (Span.leaked sp));
-  Span.finish sp late ~now:101.0;
-  check int_t "late close drops out" 5 (List.length (Span.leaked sp));
-  check int_t "still only the originals" 5 (Span.active_count sp)
+  check int_t "every record counted" 5 (Span.total_finished sp);
+  check (Alcotest.list Alcotest.string) "newest retained" [ "w2"; "w3"; "w4" ]
+    (List.map (fun r -> r.Span.name) (Span.finished sp))
 
 (* ---------------- Export ---------------- *)
 
@@ -842,24 +807,6 @@ let test_timeseries_single_point () =
   (* equal timestamps accepted, strictly earlier rejected *)
   Timeseries.record ts ~time:2.0 8.0;
   check int_t "tie accepted" 2 (Timeseries.length ts)
-
-(* ---------------- Span leaks ---------------- *)
-
-let test_span_leak_reporting () =
-  let sp = Span.create ~capacity:8 () in
-  check int_t "capacity" 8 (Span.capacity sp);
-  let a = Span.start sp ~now:1.0 ~source:"slave-0" "audit" in
-  let _leaked = Span.start sp ~now:2.0 ~source:"client-1" "verify" in
-  Span.finish sp a ~now:3.0;
-  check int_t "one live" 1 (Span.active_count sp);
-  (match Span.leaked sp with
-  | [ ("verify", "client-1", start) ] -> check float_t "leak start" 2.0 start
-  | l -> Alcotest.fail (Printf.sprintf "expected 1 leak, got %d" (List.length l)));
-  (* sorted by start time when several leak *)
-  let _l2 = Span.start sp ~now:0.5 ~source:"x" "early" in
-  (match Span.leaked sp with
-  | [ ("early", _, _); ("verify", _, _) ] -> ()
-  | _ -> Alcotest.fail "leaks not sorted by start")
 
 (* ---------------- Export: alert events ---------------- *)
 
@@ -1141,8 +1088,6 @@ let () =
         [
           Alcotest.test_case "nesting and durations" `Quick test_span_nesting_and_durations;
           Alcotest.test_case "record and errors" `Quick test_span_record_and_errors;
-          Alcotest.test_case "leak reporting" `Quick test_span_leak_reporting;
-          Alcotest.test_case "leaks exact under ring wrap" `Quick test_span_leaks_under_wrap;
         ] );
       ( "export",
         [
