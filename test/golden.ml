@@ -3,7 +3,7 @@
    Usage: golden.exe BENCH CLI EXAMPLE...   (paths to bench/main.exe,
    bin/secrep_sim_cli.exe and the examples/*.exe programs)
 
-   Prints quick-mode E1-E13, five pinned CLI commands and the four
+   Prints quick-mode E1-E13, eight pinned CLI commands and the four
    example programs in one stable rendering, which `dune runtest` diffs
    against golden.expected; after an intended change `dune promote`
    rewrites that file.  Lines ending in Exp_common.wall_clock_mark are
@@ -49,6 +49,11 @@ let pinned =
     "run --shards 4 --domains 2 --duration 60 --seed 3 --trace-out T";
     "run --duration 60 --seed 3 --trace-format chrome --trace-out T";
     "campaign --seed 1";
+    (* SLO alert streams: recovery, staleness, read-latency, breaker and
+       false-accusation; auditor-lag; detection of a liar. *)
+    "chaos --seed 5 --slo --trace-out T";
+    "chaos --seed 2 --slo --trace-out T";
+    "run --duration 60 --seed 3 --malicious 1 --lie-prob 0.05 --slo --trace-out T";
   ]
 
 let command cli line =

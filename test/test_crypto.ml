@@ -843,6 +843,28 @@ let test_prng_determinism () =
     check bool_t "same stream" true (Int64.equal (Prng.next_int64 a) (Prng.next_int64 b))
   done
 
+(* First outputs of xoshiro256** seeded through SplitMix64, recorded
+   from the record-of-four-int64 implementation; any rewrite of the
+   state layout must reproduce them. *)
+let test_prng_known_answers () =
+  List.iter
+    (fun (seed, expected) ->
+      let g = Prng.create ~seed in
+      List.iteri
+        (fun i want ->
+          check string_t
+            (Printf.sprintf "seed %Ld output %d" seed i)
+            (Printf.sprintf "%016LX" want)
+            (Printf.sprintf "%016LX" (Prng.next_int64 g)))
+        expected;
+      (* a copy continues the same stream *)
+      let c = Prng.copy g in
+      check bool_t "copy continues" true (Int64.equal (Prng.next_int64 g) (Prng.next_int64 c)))
+    [
+      (1L, [ 0xB3F2AF6D0FC710C5L; 0x853B559647364CEAL; 0x92F89756082A4514L; 0x642E1C7BC266A3A7L ]);
+      (42L, [ 0x15780B2E0C2EC716L; 0x6104D9866D113A7EL; 0xAE17533239E499A1L; 0xECB8AD4703B360A1L ]);
+    ]
+
 let test_prng_seed_sensitivity () =
   let a = Prng.create ~seed:42L and b = Prng.create ~seed:43L in
   let differs = ref false in
@@ -1047,6 +1069,7 @@ let () =
       ( "prng",
         [
           Alcotest.test_case "determinism" `Quick test_prng_determinism;
+          Alcotest.test_case "known answers" `Quick test_prng_known_answers;
           Alcotest.test_case "seed sensitivity" `Quick test_prng_seed_sensitivity;
           Alcotest.test_case "split independence" `Quick test_prng_split_independent;
           Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;

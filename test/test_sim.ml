@@ -787,6 +787,65 @@ let test_rolling_percentile () =
     (Invalid_argument "Rolling.percentile: p outside [0,100]") (fun () ->
       ignore (Rolling.percentile r 101.0))
 
+(* The sort-on-demand window: the reference for Rolling's incremental
+   order statistic. *)
+module Rolling_ref = struct
+  type t = { window : float; mutable samples : (float * float) list (* oldest first *) }
+
+  let create ~window = { window; samples = [] }
+  let advance t ~now = t.samples <- List.filter (fun (ts, _) -> ts >= now -. t.window) t.samples
+  let record t ~time v =
+    t.samples <- t.samples @ [ (time, v) ];
+    advance t ~now:time
+
+  let values t = Array.of_list (List.map snd t.samples)
+
+  let percentile t p =
+    let a = values t in
+    let n = Array.length a in
+    if n = 0 then None
+    else begin
+      Array.sort compare a;
+      let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+      Some a.(max 0 (min (n - 1) (rank - 1)))
+    end
+end
+
+let rolling_ps = List.init 101 float_of_int @ [ 0.1; 33.3; 50.5; 99.9 ]
+
+let test_rolling_matches_reference =
+  (* Steps: record (3 in 4) or advance, by a time step that is often 0
+     (ties) and sometimes past the window (evict-all), with values drawn
+     from a few integers (duplicates) or a continuous range. *)
+  let step =
+    QCheck2.Gen.(
+      triple (int_bound 3)
+        (oneofl [ 0.0; 0.0; 0.25; 1.0; 2.5; 6.0 ])
+        (oneof [ map float_of_int (int_bound 4); float_bound_inclusive 100.0 ]))
+  in
+  qtest ~count:100 "rolling: agrees with a sort-on-demand window"
+    QCheck2.Gen.(list_size (int_range 0 150) step)
+    (fun steps ->
+      let r = Rolling.create ~window:5.0 () and m = Rolling_ref.create ~window:5.0 in
+      let now = ref 0.0 in
+      List.for_all
+        (fun (kind, dt, v) ->
+          now := !now +. dt;
+          if kind < 3 then begin
+            Rolling.record r ~time:!now v;
+            Rolling_ref.record m ~time:!now v
+          end
+          else begin
+            Rolling.advance r ~now:!now;
+            Rolling_ref.advance m ~now:!now
+          end;
+          Rolling.values r = Rolling_ref.values m
+          && Rolling.count r = Array.length (Rolling_ref.values m)
+          && List.for_all
+               (fun p -> Rolling.percentile r p = Rolling_ref.percentile m p)
+               rolling_ps)
+        steps)
+
 (* ---------------- Timeseries (aggregation edges) ---------------- *)
 
 let test_timeseries_empty_edges () =
@@ -1069,6 +1128,7 @@ let () =
           Alcotest.test_case "record evicts stale" `Quick test_rolling_record_evicts_too;
           Alcotest.test_case "out-of-order guard" `Quick test_rolling_out_of_order;
           Alcotest.test_case "percentile nearest-rank" `Quick test_rolling_percentile;
+          test_rolling_matches_reference;
         ] );
       ( "timeseries",
         [
