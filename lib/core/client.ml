@@ -73,7 +73,7 @@ type t = {
      back the client to the state before that particular read".  We
      keep a bounded log of accepted reads by serving slave so an
      exclusion can identify (and count) the reads to roll back. *)
-  mutable accepted_log : (int * float) list; (* slave_id, accept time; newest first *)
+  accepted_log : (int * float) Queue.t; (* slave_id, accept time; oldest first *)
   mutable tainted_reads : int;
   breakers : (int, breaker) Hashtbl.t;
   mutable timeouts : int;
@@ -103,7 +103,7 @@ let create ~id ~rng ~config ~env ~stats ~trace ~spans ?max_latency_override () =
     reads_accepted = 0;
     reads_given_up = 0;
     stale_rejections = 0;
-    accepted_log = [];
+    accepted_log = Queue.create ();
     tainted_reads = 0;
     breakers = Hashtbl.create 8;
     timeouts = 0;
@@ -218,21 +218,31 @@ let give_up t ~query ~request ~start ~retries ~double_checked ~caught =
    be wrong; older entries are pruned. *)
 let log_window t = 20.0 *. t.config.Config.max_latency
 
+let prune_log t ~now =
+  let rec loop () =
+    match Queue.peek_opt t.accepted_log with
+    | Some (_, ts) when now -. ts > log_window t ->
+      ignore (Queue.pop t.accepted_log);
+      loop ()
+    | _ -> ()
+  in
+  loop ()
+
 let note_accepted t ~slave_id =
   let now = t.env.now () in
-  t.accepted_log <-
-    (slave_id, now)
-    :: List.filter (fun (_, ts) -> now -. ts <= log_window t) t.accepted_log
+  prune_log t ~now;
+  Queue.add (slave_id, now) t.accepted_log
 
 let on_slave_excluded t ~slave_id =
-  let now = t.env.now () in
-  let tainted, kept =
-    List.partition
-      (fun (s, ts) -> s = slave_id && now -. ts <= log_window t)
-      t.accepted_log
-  in
-  t.accepted_log <- kept;
-  let n = List.length tainted in
+  prune_log t ~now:(t.env.now ());
+  let kept = Queue.create () in
+  let n = ref 0 in
+  Queue.iter
+    (fun ((s, _) as entry) -> if s = slave_id then incr n else Queue.add entry kept)
+    t.accepted_log;
+  Queue.clear t.accepted_log;
+  Queue.transfer kept t.accepted_log;
+  let n = !n in
   if n > 0 then begin
     t.tainted_reads <- t.tainted_reads + n;
     Stats.add t.stats "client.reads_tainted" n

@@ -173,12 +173,12 @@ let adopt_slaves t ~from =
     from.slaves;
   Hashtbl.reset from.slaves
 
-let bootstrap t entries =
-  List.iter
-    (fun (entry : Oplog.entry) ->
-      Store.apply_entry t.store entry;
-      Oplog.append t.oplog entry)
-    entries
+let bootstrap ?preapplied t entries =
+  (match (preapplied, entries) with
+  | Some store, (first : Oplog.entry) :: _ when first.version = Store.version t.store + 1 ->
+    Store.assign t.store ~from:store
+  | _ -> List.iter (Store.apply_entry t.store) entries);
+  List.iter (Oplog.append t.oplog) entries
 
 (* -- writes -------------------------------------------------------- *)
 

@@ -106,7 +106,7 @@ let dropping_updates t =
   | Fault.Malicious { mode = Fault.Stale_state; from_time; _ } -> Sim.now t.sim >= from_time
   | Fault.Honest | Fault.Malicious _ -> false
 
-let receive_update t ~entries ~keepalive =
+let receive_update ?preapplied t ~entries ~keepalive =
   if not t.excluded then begin
     (* Links deliver with random latency, so packets can arrive out of
        order; never let a delayed older keep-alive shadow a fresher
@@ -116,12 +116,16 @@ let receive_update t ~entries ~keepalive =
     | Some _ | None -> t.keepalive <- Some keepalive);
     if not (dropping_updates t) then begin
       let before = Store.version t.store in
-      List.iter
-        (fun (entry : Oplog.entry) ->
-          if entry.version = Store.version t.store + 1 then Store.apply_entry t.store entry
-          (* entry.version <> current + 1: duplicate or gap, ignore /
-             handled below *))
-        entries;
+      (match (preapplied, entries) with
+      | Some store, (first : Oplog.entry) :: _ when first.version = before + 1 ->
+        Store.assign t.store ~from:store
+      | _ ->
+        List.iter
+          (fun (entry : Oplog.entry) ->
+            if entry.version = Store.version t.store + 1 then Store.apply_entry t.store entry
+            (* entry.version <> current + 1: duplicate or gap, ignore /
+               handled below *))
+          entries);
       let after = Store.version t.store in
       if after > before then
         emit t

@@ -41,10 +41,17 @@ val note_peer_excluded : t -> unit
     pressure and lies less while the heat is on. *)
 
 val receive_update :
-  t -> entries:Secrep_store.Oplog.entry list -> keepalive:Keepalive.t -> unit
+  ?preapplied:Secrep_store.Store.t ->
+  t ->
+  entries:Secrep_store.Oplog.entry list ->
+  keepalive:Keepalive.t ->
+  unit
 (** Applies the contiguous suffix of [entries]; on a version gap the
     resync callback fires with the slave's current version.  A
-    stale-state attacker absorbs the keep-alive but drops entries. *)
+    stale-state attacker absorbs the keep-alive but drops entries.
+    [preapplied] is [entries] already applied to a store one version
+    before the first entry: a slave at that version adopts its
+    (immutable) contents instead of replaying [entries]. *)
 
 val on_resync_needed : t -> (slave_id:int -> from_version:int -> unit) -> unit
 (** Installed by the owning master; called when updates arrive with a

@@ -640,7 +640,12 @@ let load_content t pairs =
       (fun i (key, doc) -> { Oplog.version = base + 1 + i; op = Oplog.Put { key; doc } })
       pairs
   in
-  Array.iter (fun m -> Master.bootstrap m entries) t.masters;
+  (* Apply the bootstrap once: every replica still at [base] adopts
+     the resulting immutable map instead of replaying the entries. *)
+  let preapplied = Store.create () in
+  Store.assign preapplied ~from:(Master.store t.masters.(0));
+  List.iter (Store.apply_entry preapplied) entries;
+  Array.iter (fun m -> Master.bootstrap ~preapplied m entries) t.masters;
   let target = base + List.length pairs in
   Array.iter
     (fun s ->
@@ -650,7 +655,7 @@ let load_content t pairs =
           ~master_key:(Master.keypair t.masters.(m_id))
           ~content_id:(content_id t) ~master_id:m_id ~version:target ~now:(Sim.now t.sim)
       in
-      Slave.receive_update s ~entries ~keepalive)
+      Slave.receive_update ~preapplied s ~entries ~keepalive)
     t.slaves;
   (* Back-dated commit times let the auditor advance through the
      bootstrap versions immediately. *)

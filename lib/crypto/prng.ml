@@ -1,7 +1,12 @@
 (* xoshiro256** seeded via SplitMix64 (reference: Blackman & Vigna).
-   All state is explicit so simulations replay bit-for-bit. *)
+   All state is explicit so simulations replay bit-for-bit.  The four
+   state words live in one 32-byte buffer and are read and written
+   unboxed, so a draw allocates at most its boxed result. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let splitmix_next (state : int64 ref) =
   state := Int64.add !state 0x9E3779B97F4A7C15L;
@@ -12,25 +17,26 @@ let splitmix_next (state : int64 ref) =
 
 let create ~seed =
   let st = ref seed in
-  let s0 = splitmix_next st in
-  let s1 = splitmix_next st in
-  let s2 = splitmix_next st in
-  let s3 = splitmix_next st in
-  { s0; s1; s2; s3 }
+  let g = Bytes.create 32 in
+  for i = 0 to 3 do
+    set64 g (8 * i) (splitmix_next st)
+  done;
+  g
 
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
+let copy = Bytes.copy
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let next_int64 g =
-  let result = Int64.mul (rotl (Int64.mul g.s1 5L) 7) 9L in
-  let t = Int64.shift_left g.s1 17 in
-  g.s2 <- Int64.logxor g.s2 g.s0;
-  g.s3 <- Int64.logxor g.s3 g.s1;
-  g.s1 <- Int64.logxor g.s1 g.s2;
-  g.s0 <- Int64.logxor g.s0 g.s3;
-  g.s2 <- Int64.logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+let[@inline] next_int64 g =
+  let s0 = get64 g 0 and s1 = get64 g 8 and s2 = get64 g 16 and s3 = get64 g 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let t = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set64 g 8 (Int64.logxor s1 s2);
+  set64 g 0 (Int64.logxor s0 s3);
+  set64 g 16 (Int64.logxor s2 t);
+  set64 g 24 (rotl s3 45);
   result
 
 let split g = create ~seed:(next_int64 g)

@@ -141,10 +141,12 @@ let create ?trace ~config:cfg () =
     finalized = false;
   }
 
+(* [tick] looks rules up a dozen times per event: [find] allocates no
+   option. *)
 let rule t name =
-  match Hashtbl.find_opt t.rules name with
-  | Some rs -> rs
-  | None -> invalid_arg ("Slo: unknown rule " ^ name)
+  match Hashtbl.find t.rules name with
+  | rs -> rs
+  | exception Not_found -> invalid_arg ("Slo: unknown rule " ^ name)
 
 let emit t event =
   match t.trace with
@@ -186,14 +188,21 @@ let decay_pulse t name =
   | _ -> ()
 
 let max_overdue tbl ~now ~deadline_of =
-  Hashtbl.fold
-    (fun k v acc ->
-      let over = now -. deadline_of k v in
-      if over > 0.0 then match acc with
-        | Some (_, o) when o >= over -> acc
-        | _ -> Some (k, over)
-      else acc)
-    tbl None
+  if Hashtbl.length tbl = 0 then None
+  else
+    Hashtbl.fold
+      (fun k v acc ->
+        let over = now -. deadline_of k v in
+        if over > 0.0 then match acc with
+          | Some (_, o) when o >= over -> acc
+          | _ -> Some (k, over)
+        else acc)
+      tbl None
+
+(* Forget the versions up to [version].  The survivors keep their
+   bucket order, so [max_overdue] breaks ties among them as before. *)
+let drop_through tbl version =
+  Hashtbl.filter_map_inplace (fun v commit -> if v <= version then None else Some commit) tbl
 
 let slave_of_node node =
   match String.length node > 6 && String.sub node 0 6 = "slave-" with
@@ -228,15 +237,11 @@ let handle t event =
   | Event.State_update_applied { to_version; _ } ->
     if to_version > t.applied_max then begin
       t.applied_max <- to_version;
-      Hashtbl.iter
-        (fun v _ -> if v <= to_version then Hashtbl.remove t.pending_apply v)
-        (Hashtbl.copy t.pending_apply)
+      drop_through t.pending_apply to_version
     end
   | Event.Audit_advance { version } ->
     if version > t.audited_max then t.audited_max <- version;
-    Hashtbl.iter
-      (fun v _ -> if v <= version then Hashtbl.remove t.pending_audit v)
-      (Hashtbl.copy t.pending_audit)
+    drop_through t.pending_audit version
   | Event.Audit_overload { backlog } ->
     raise_alert t "auditor-lag" ~value:(float_of_int backlog)
       ~threshold:(float_of_int backlog)

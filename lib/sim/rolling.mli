@@ -4,8 +4,11 @@
     over the last [window] seconds" incrementally from the live event
     stream.  Unlike {!Timeseries} (append-only, full history) a
     rolling window retains only the samples newer than
-    [now - window]: {!record} appends and evicts in amortised O(1),
-    while {!percentile} sorts the retained samples on demand.
+    [now - window].  {!record} appends and evicts in amortised O(1)
+    until the first {!percentile} call; from then on the window also
+    keeps its values in ascending order (binary-search insert and
+    delete, O(n) moves), so each later {!percentile} is an O(1) read of
+    the exact nearest-rank value instead of a sort of the window.
 
     Time must be monotone, matching the simulator clock: feeding a
     sample (or {!advance}-ing) earlier than the latest time seen

@@ -65,35 +65,50 @@ let issue_read t =
       | `Accepted _ | `Served_by_master _ -> Histogram.add t.latencies report.Client.latency
       | `Gave_up -> ())
 
-let schedule_poisson t ~rate ~duration action =
-  if rate <= 0.0 then invalid_arg "Driver: rate must be positive";
+(* Arrival times are drawn up front from the driver's rng ([next] maps
+   one arrival to the next), so successive calls on one driver (reads,
+   then writes) draw in call order.  Each time is rebased as
+   [start + (time - start)], the instant a [~delay:(time - start)]
+   schedule at [start] names.  Only the next arrival sits on the event
+   queue: each one arms its successor when it fires, before its own
+   action runs. *)
+let schedule_arrivals t ~duration ~next action =
   let sim = System.sim t.system in
   let start = Sim.now sim in
   let stop = start +. duration in
-  (* All arrival times are drawn up front (they only depend on the
-     driver's own rng), then scheduled relative to [start]. *)
-  let rec arm time =
-    let time = time +. Prng.exponential t.rng ~mean:(1.0 /. rate) in
-    if time <= stop then begin
-      ignore (Sim.schedule sim ~delay:(time -. start) (fun () -> action ()));
-      arm time
-    end
+  let times = ref (Array.make 256 0.0) and n = ref 0 and time = ref (next start) in
+  while !time <= stop do
+    if !n = Array.length !times then begin
+      let grown = Array.make (2 * !n) 0.0 in
+      Array.blit !times 0 grown 0 !n;
+      times := grown
+    end;
+    !times.(!n) <- start +. (!time -. start);
+    incr n;
+    time := next !time
+  done;
+  let times = !times and n = !n in
+  let rec arm i =
+    if i < n then
+      ignore
+        (Sim.schedule_at sim ~time:times.(i) (fun () ->
+             arm (i + 1);
+             action ()))
   in
-  arm start
+  arm 0
+
+let schedule_poisson t ~rate ~duration action =
+  if rate <= 0.0 then invalid_arg "Driver: rate must be positive";
+  schedule_arrivals t ~duration
+    ~next:(fun time -> time +. Prng.exponential t.rng ~mean:(1.0 /. rate))
+    action
 
 let run_reads t ~rate ~duration = schedule_poisson t ~rate ~duration (fun () -> issue_read t)
 
 let run_diurnal_reads t ~diurnal ~duration =
-  let sim = System.sim t.system in
-  let stop = Sim.now sim +. duration in
-  let rec arm now =
-    let time = Diurnal.next_arrival diurnal t.rng ~now in
-    if time <= stop then begin
-      ignore (Sim.schedule sim ~delay:(time -. Sim.now sim) (fun () -> issue_read t));
-      arm time
-    end
-  in
-  arm (Sim.now sim)
+  schedule_arrivals t ~duration
+    ~next:(fun now -> Diurnal.next_arrival diurnal t.rng ~now)
+    (fun () -> issue_read t)
 
 let run_writes t ~rate ~duration ~writer =
   schedule_poisson t ~rate ~duration (fun () ->

@@ -307,6 +307,39 @@ let test_synthetic_availability_burn () =
   check bool_t "sensitive by-master is not bad" true
     (not (Slo.was_raised slo2 "availability"))
 
+(* Allocation is deterministic, so this bounds the engine's per-event
+   cost without timing anything: with thousands of latency samples in
+   the window, an event must not cost a copy of the window. *)
+let test_observe_allocation_bounded () =
+  let slo = synthetic_slo () in
+  let rng = Secrep_crypto.Prng.create ~seed:3L in
+  let request = ref 0 in
+  (* 200 reads/s with sub-second latencies (under the 5 s threshold, so
+     no alert is raised): the 30 s window holds about 6,000 samples. *)
+  let read () =
+    incr request;
+    let t = float_of_int !request *. 0.005 in
+    let latency = Secrep_crypto.Prng.float rng in
+    Slo.observe slo
+      (record ~time:t (Event.Read_issued { client = 0; request = !request; mode = "single" }));
+    Slo.observe slo
+      (record ~time:t
+         (Event.Read_answered
+            { client = 0; request = !request; slave = 0; outcome = "accepted"; version = 1; latency }))
+  in
+  for _ = 1 to 8_000 do
+    read ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    read ()
+  done;
+  let per_event = (Gc.minor_words () -. w0) /. 2_000.0 in
+  check bool_t
+    (Printf.sprintf "%.0f minor words per event (limit 1000)" per_event)
+    true (per_event <= 1_000.0);
+  check int_t "no alerts" 0 (List.length (Slo.alerts slo))
+
 (* ---------------- invariant mapping ---------------- *)
 
 let test_rule_coverage_mapping () =
@@ -437,6 +470,8 @@ let () =
             test_synthetic_false_accusation;
           Alcotest.test_case "synthetic availability burn" `Quick
             test_synthetic_availability_burn;
+          Alcotest.test_case "observe allocation bounded" `Quick
+            test_observe_allocation_bounded;
         ] );
       ( "lineage",
         [
