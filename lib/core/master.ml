@@ -173,11 +173,12 @@ let adopt_slaves t ~from =
     from.slaves;
   Hashtbl.reset from.slaves
 
-let bootstrap ?preapplied t entries =
-  (match (preapplied, entries) with
-  | Some store, (first : Oplog.entry) :: _ when first.version = Store.version t.store + 1 ->
-    Store.assign t.store ~from:store
-  | _ -> List.iter (Store.apply_entry t.store) entries);
+let bootstrap t ~preapplied entries =
+  (match entries with
+  | (first : Oplog.entry) :: _ when first.version <> Store.version t.store + 1 ->
+    invalid_arg "Master.bootstrap: entries do not continue the store's version"
+  | _ -> ());
+  Store.assign t.store ~from:preapplied;
   List.iter (Oplog.append t.oplog) entries
 
 (* -- writes -------------------------------------------------------- *)

@@ -47,11 +47,13 @@ val work : t -> Secrep_sim.Work_queue.t
 val set_acl : t -> allowed_writers:int list option -> unit
 (** [None] (default) lets every client write. *)
 
-val bootstrap : ?preapplied:Secrep_store.Store.t -> t -> Secrep_store.Oplog.entry list -> unit
+val bootstrap :
+  t -> preapplied:Secrep_store.Store.t -> Secrep_store.Oplog.entry list -> unit
 (** Load initial content directly into the store and op log, bypassing
     the write path.  Entries must continue the current version
-    sequence.  [preapplied] is as for {!Slave.receive_update}: the
-    entries already applied, adopted instead of replayed. *)
+    sequence.  [preapplied] is this master's store with the entries
+    applied: the master adopts its (immutable) contents instead of
+    replaying them. *)
 
 (* -- slave-set management ---------------------------------------- *)
 

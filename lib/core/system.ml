@@ -645,7 +645,7 @@ let load_content t pairs =
   let preapplied = Store.create () in
   Store.assign preapplied ~from:(Master.store t.masters.(0));
   List.iter (Store.apply_entry preapplied) entries;
-  Array.iter (fun m -> Master.bootstrap ~preapplied m entries) t.masters;
+  Array.iter (fun m -> Master.bootstrap m ~preapplied entries) t.masters;
   let target = base + List.length pairs in
   Array.iter
     (fun s ->

@@ -20,8 +20,9 @@ let zero_pad width i =
   let s = string_of_int i in
   if String.length s >= width then s else String.make (width - String.length s) '0' ^ s
 
-(* Called like the Printf.sprintf they replace, so the generator draws
-   for the arguments happen in the same order. *)
+(* Each takes its parts as arguments, so the generator draws for them
+   run in argument evaluation order: a seed's catalog depends on that
+   order. *)
 let product_name adjective noun i = String.concat "" [ adjective; " "; noun; " #"; string_of_int i ]
 
 let product_description adjective noun model =
