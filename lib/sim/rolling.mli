@@ -8,7 +8,7 @@
     until the first {!percentile} call; from then on the window also
     keeps its values in ascending order (binary-search insert and
     delete, O(n) moves), so each later {!percentile} is an O(1) read of
-    the exact nearest-rank value instead of a sort of the window.
+    the exact nearest-rank value.
 
     Time must be monotone, matching the simulator clock: feeding a
     sample (or {!advance}-ing) earlier than the latest time seen
