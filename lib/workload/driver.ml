@@ -65,9 +65,9 @@ let issue_read t =
       | `Accepted _ | `Served_by_master _ -> Histogram.add t.latencies report.Client.latency
       | `Gave_up -> ())
 
-(* Arrival times are drawn up front from the driver's rng ([next] maps
-   one arrival to the next), so successive calls on one driver (reads,
-   then writes) draw in call order.  Each time is rebased as
+(* Arrival times are drawn up front from [t.rng] ([next] maps one
+   arrival to the next), so successive calls on one [t] (reads, then
+   writes) draw in call order.  Each time is rebased as
    [start + (time - start)], the instant a [~delay:(time - start)]
    schedule at [start] names.  Only the next arrival sits on the event
    queue: each one arms its successor when it fires, before its own

@@ -46,9 +46,9 @@ val run_reads :
 (** Schedule Poisson read arrivals at [rate]/s over [duration] sim
     seconds, spread round-robin over all clients.  Returns immediately;
     the work happens as the simulation runs.  Every arrival time is
-    drawn now, from the driver's rng, but only the next one is on the
-    event queue at a time, so [Sim.pending] (the [sim.pending_events]
-    gauge) does not count the later ones. *)
+    drawn now, from the [rng] given to {!create}, but only the next one
+    is on the event queue at a time, so [Sim.pending] (the
+    [sim.pending_events] gauge) does not count the later ones. *)
 
 val run_diurnal_reads : t -> diurnal:Diurnal.t -> duration:float -> unit
 
