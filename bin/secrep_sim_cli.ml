@@ -777,13 +777,10 @@ let run_chaos ~shards ~domains ~masters ~replication_factor ~clients ~items ~dur
   (* Settle: every in-flight read must be able to exhaust its retry
      ladder and degraded fallback, and the last recovery needs
      max_latency to converge, before the invariants judge the trace. *)
-  let read_slack =
-    float_of_int (config.Config.read_retry_limit + 2)
-    *. ((config.Config.read_timeout_factor *. max_latency) +. config.Config.retry_backoff_cap)
-  in
   let last_fault = List.fold_left (fun acc (t, _) -> Float.max acc t) 0.0 faults in
   let horizon =
-    Float.max duration last_fault +. read_slack +. (6.0 *. max_latency) +. 60.0
+    Float.max duration last_fault +. Config.read_give_up_bound config +. (6.0 *. max_latency)
+    +. 60.0
   in
   let monitors =
     if slo || slo_out <> None || lineage_out <> None then

@@ -8,7 +8,7 @@ module Store = Secrep_store.Store
 module Oplog = Secrep_store.Oplog
 module Query = Secrep_store.Query
 module Query_eval = Secrep_store.Query_eval
-module Canonical = Secrep_store.Canonical
+module Codec = Secrep_store.Codec
 
 type t = {
   sim : Sim.t;
@@ -26,7 +26,7 @@ type t = {
   mutable tampered : (string, string) Hashtbl.t; (* key -> fake block bytes *)
 }
 
-let block_bytes key doc = key ^ "\x00" ^ Canonical.of_document doc
+let block_bytes key doc = key ^ "\x00" ^ Codec.encode_document doc
 
 let rebuild t =
   let keys = Array.of_list (Store.keys t.store) in

@@ -204,17 +204,12 @@ let run ?domains scenario =
     List.length
       (List.filter (function Scenario.Write _ -> true | Scenario.Read _ -> false) s.Scenario.ops)
   in
-  let read_slack =
-    float_of_int (config.Config.read_retry_limit + 2)
-    *. ((config.Config.read_timeout_factor *. s.Scenario.max_latency)
-       +. config.Config.retry_backoff_cap)
-  in
   let horizon =
     Float.max last_op (last_heal +. (2.0 *. s.Scenario.max_latency))
     +. (float_of_int (n_writes + 2) *. s.Scenario.max_latency)
     +. config.Config.audit_lag_slack
     +. (10.0 *. s.Scenario.max_latency)
-    +. read_slack +. 30.0
+    +. Config.read_give_up_bound config +. 30.0
   in
   Deployment.run_until deployment horizon;
   (* Each shard is judged against the slice of the scenario it actually

@@ -17,4 +17,9 @@ val verify : content_public:Secrep_crypto.Sig_scheme.public -> t -> bool
     certificate's content id (self-certifying check). *)
 
 val signed_payload : t -> string
-(** The exact bytes the owner signs; exposed for tests. *)
+(** The exact bytes the owner signs: a domain byte, then the fields in
+    {!write}'s order; exposed for tests. *)
+
+val write : Secrep_store.Codec.Writer.t -> t -> unit
+(** The wire frame: content id, master id, address, the encoded master
+    key, then the signature. *)

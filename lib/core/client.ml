@@ -66,9 +66,6 @@ type t = {
   spans : Span.t;
   max_latency : float; (* effective freshness bound for this client *)
   mutable reads_issued : int;
-  mutable reads_accepted : int;
-  mutable reads_given_up : int;
-  mutable stale_rejections : int;
   (* §3.5: on delayed discovery "the harm may be undone, by rolling
      back the client to the state before that particular read".  We
      keep a bounded log of accepted reads by serving slave so an
@@ -76,10 +73,7 @@ type t = {
   accepted_log : (int * float) Queue.t; (* slave_id, accept time; oldest first *)
   mutable tainted_reads : int;
   breakers : (int, breaker) Hashtbl.t;
-  mutable timeouts : int;
   mutable degraded_served : int;
-  mutable breaker_opened : int;
-  mutable breaker_closed : int;
 }
 
 let create ~id ~rng ~config ~env ~stats ~trace ~spans ?max_latency_override () =
@@ -100,16 +94,10 @@ let create ~id ~rng ~config ~env ~stats ~trace ~spans ?max_latency_override () =
     spans;
     max_latency;
     reads_issued = 0;
-    reads_accepted = 0;
-    reads_given_up = 0;
-    stale_rejections = 0;
     accepted_log = Queue.create ();
     tainted_reads = 0;
     breakers = Hashtbl.create 8;
-    timeouts = 0;
     degraded_served = 0;
-    breaker_opened = 0;
-    breaker_closed = 0;
   }
 
 let source t = Printf.sprintf "client-%d" t.id
@@ -118,13 +106,7 @@ let emit t event = Trace.emit t.trace ~time:(t.env.now ()) ~source:(source t) ev
 
 let id t = t.id
 let reads_issued t = t.reads_issued
-let reads_accepted t = t.reads_accepted
-let reads_given_up t = t.reads_given_up
-let stale_rejections t = t.stale_rejections
-let read_timeouts t = t.timeouts
 let degraded_reads t = t.degraded_served
-let breaker_opened t = t.breaker_opened
-let breaker_closed t = t.breaker_closed
 
 (* How long to wait for a slave before assuming it dropped the request.
    The default factor of 2x the freshness bound is generous: an answer
@@ -152,15 +134,17 @@ let quarantined t =
     (fun id b acc -> if b.is_open && now < b.open_until then id :: acc else acc)
     t.breakers []
 
+(* One [client.read_timeouts] per target slave that never replied, or
+   one when the missing answer is the master's (a double-check after
+   every target replied, or a master read: [slave_id < 0]).  Only the
+   former charge a slave's circuit breaker. *)
 let note_timeout t ~slave_id =
-  t.timeouts <- t.timeouts + 1;
   Stats.incr t.stats "client.read_timeouts";
   if slave_id >= 0 then begin
     let b = breaker_for t slave_id in
     b.consecutive_timeouts <- b.consecutive_timeouts + 1;
     if b.consecutive_timeouts >= t.config.Config.breaker_threshold then begin
       if not b.is_open then begin
-        t.breaker_opened <- t.breaker_opened + 1;
         Stats.incr t.stats "client.breaker_opened";
         emit t (Event.Breaker_opened { client = t.id; slave = slave_id })
       end;
@@ -174,7 +158,6 @@ let note_slave_success t ~slave_id =
     let b = breaker_for t slave_id in
     if b.is_open then begin
       b.is_open <- false;
-      t.breaker_closed <- t.breaker_closed + 1;
       Stats.incr t.stats "client.breaker_closed";
       emit t (Event.Breaker_closed { client = t.id; slave = slave_id })
     end;
@@ -196,7 +179,6 @@ let backoff_delay t ~retries =
   (d *. (1.0 -. j)) +. (d *. j *. Prng.float t.rng)
 
 let give_up t ~query ~request ~start ~retries ~double_checked ~caught =
-  t.reads_given_up <- t.reads_given_up + 1;
   Stats.incr t.stats "client.reads_given_up";
   let latency = t.env.now () -. start in
   emit t
@@ -254,7 +236,6 @@ let tainted_reads t = t.tainted_reads
 let accept t ~query ~request ~start ~retries ~double_checked ~caught
     { Slave.result; pledge } =
   let served_by = pledge.Pledge.slave_id and version = Pledge.version pledge in
-  t.reads_accepted <- t.reads_accepted + 1;
   Stats.incr t.stats "client.reads_accepted";
   note_accepted t ~slave_id:served_by;
   note_slave_success t ~slave_id:served_by;
@@ -290,7 +271,6 @@ let master_read t query ~request ~start ~retries ~caught ~on_done =
         settled := true;
         match reply with
         | Some (result, version) ->
-          t.reads_accepted <- t.reads_accepted + 1;
           let latency = t.env.now () -. start in
           emit t
             (Event.Read_answered
@@ -370,7 +350,6 @@ let verify_reply t ~request ~slave_public ~master_public { Slave.result; pledge 
     end;
     emit t (Event.Pledge_verified { client = t.id; request; slave; version; ok = false; reason });
     if String.starts_with ~prefix:"stale" reason then begin
-      t.stale_rejections <- t.stale_rejections + 1;
       Stats.incr t.stats "client.stale_rejections";
       t.env.note_stale_reject ~slave;
       `Stale

@@ -120,28 +120,10 @@ val read :
 val write : t -> Secrep_store.Oplog.op -> on_done:(Master.write_ack -> unit) -> unit
 
 val reads_issued : t -> int
-val reads_accepted : t -> int
-val reads_given_up : t -> int
-val stale_rejections : t -> int
-
-val read_timeouts : t -> int
-(** Timeouts after [read_timeout_factor *. max_latency]: one per
-    target slave that never replied, or one when the missing answer
-    is the master's (a double-check after every target replied, or a
-    master read).  Only the former charge a slave's circuit
-    breaker. *)
 
 val degraded_reads : t -> int
 (** Reads served by the trusted master because no healthy slave
     remained (only with [Config.degraded_reads]). *)
-
-val breaker_opened : t -> int
-(** Times a per-slave circuit breaker tripped ([breaker_threshold]
-    consecutive timeouts) and quarantined the slave. *)
-
-val breaker_closed : t -> int
-(** Times an open breaker closed again: a half-open probe after
-    [breaker_cooldown] succeeded — the "healed" signal. *)
 
 val is_quarantined : t -> slave_id:int -> bool
 val quarantined : t -> int list

@@ -70,9 +70,9 @@ let default =
     pledge_batch_size = 1;
     pledge_batch_window = 0.05;
     (* Replay-nonces and suspicion-weighted auditing both default off:
-       pledges keep their legacy payload/encoding and the auditor keeps
-       uniform sampling, reproducing the seed protocol bit-for-bit.
-       E13 turns them on to measure the hardening. *)
+       pledges carry no nonce and the auditor keeps uniform sampling,
+       as in the paper's protocol.  E13 turns them on to measure the
+       hardening. *)
     read_nonces = false;
     audit_adaptive = false;
     suspicion_tau = 30.0;
@@ -126,3 +126,7 @@ let validate t =
 
 let validate_exn t =
   match validate t with Ok () -> t | Error msg -> invalid_arg ("Config: " ^ msg)
+
+let read_give_up_bound t =
+  float_of_int (t.read_retry_limit + 2)
+  *. ((t.read_timeout_factor *. t.max_latency) +. t.retry_backoff_cap)

@@ -85,7 +85,8 @@ type t = {
           that slaves must echo inside the signed pledge payload;
           clients reject pledges bound to a different nonce, closing
           the replay attack.  Off by default: pledges then carry nonce
-          0 and keep the legacy payload and wire encoding. *)
+          0 and their payload and frame omit it (tag 0 or 1, not 2 or
+          3). *)
   audit_adaptive : bool;
       (** Suspicion-weighted audit sampling: the auditor reweights
           [audit_fraction] per slave by its decayed suspicion score
@@ -114,3 +115,9 @@ val validate : t -> (unit, string) result
     latency, probabilities outside [0,1]). *)
 
 val validate_exn : t -> t
+
+val read_give_up_bound : t -> float
+(** The longest a client can spend on one read before it gives up:
+    [read_retry_limit + 2] timeouts of [read_timeout_factor *.
+    max_latency], each followed by at most [retry_backoff_cap] of
+    backoff.  SLO read deadlines and run horizons add it as slack. *)

@@ -1,4 +1,5 @@
 module Sig_scheme = Secrep_crypto.Sig_scheme
+module Writer = Secrep_store.Codec.Writer
 
 type t = {
   content_id : string;
@@ -8,18 +9,29 @@ type t = {
   signature : string;
 }
 
-let payload ~content_id ~version ~timestamp ~master_id =
-  Printf.sprintf "keepalive|%s|%d|%h|%d" content_id version timestamp master_id
+(* Leading byte of the signed payload; {!Pledge} lists every domain
+   byte. *)
+let domain = 5
 
-let make ~master_key ~content_id ~master_id ~version ~now =
-  let signature =
-    Sig_scheme.sign master_key (payload ~content_id ~version ~timestamp:now ~master_id)
-  in
-  { content_id; version; timestamp = now; master_id; signature }
+let write_fields w t =
+  Writer.bytes w t.content_id;
+  Writer.varint w t.version;
+  Writer.float w t.timestamp;
+  Writer.varint w t.master_id
+
+let write w t =
+  write_fields w t;
+  Writer.bytes w t.signature
 
 let signed_payload t =
-  payload ~content_id:t.content_id ~version:t.version ~timestamp:t.timestamp
-    ~master_id:t.master_id
+  let w = Writer.create () in
+  Writer.u8 w domain;
+  write_fields w t;
+  Writer.contents w
+
+let make ~master_key ~content_id ~master_id ~version ~now =
+  let t = { content_id; version; timestamp = now; master_id; signature = "" } in
+  { t with signature = Sig_scheme.sign master_key (signed_payload t) }
 
 let verify ~master_public t =
   Sig_scheme.verify master_public ~msg:(signed_payload t) ~signature:t.signature

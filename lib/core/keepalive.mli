@@ -30,3 +30,9 @@ val is_fresh : t -> now:float -> max_latency:float -> bool
 (** [age <= max_latency]. *)
 
 val signed_payload : t -> string
+(** The bytes the master signs: a domain byte, then the fields in
+    {!write}'s order. *)
+
+val write : Secrep_store.Codec.Writer.t -> t -> unit
+(** The wire frame: content id, version, timestamp, master id, then the
+    signature.  {!Wire} and a pledge's payload both use it. *)

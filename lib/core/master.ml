@@ -44,8 +44,6 @@ type t = {
   mutable committed_observer : (Oplog.entry -> commit_time:float -> unit) option;
   mutable alive : bool;
   mutable keepalive_proc : Process.t option;
-  mutable writes_committed : int;
-  mutable last_commit_time : float;
   (* §3: masters periodically broadcast their slave list to the master
      set so survivors can divide a crashed master's slaves.  This table
      holds the most recent list heard from each peer. *)
@@ -94,8 +92,6 @@ let create sim ~rng ~id ~config ~content ~order_write ~stats ~trace ~spans =
     committed_observer = None;
     alive = true;
     keepalive_proc = None;
-    writes_committed = 0;
-    last_commit_time = neg_infinity;
     peer_slave_sets = Hashtbl.create 8;
   }
 
@@ -108,8 +104,6 @@ let version t = Store.version t.store
 let work t = t.work
 let set_acl t ~allowed_writers = t.acl <- allowed_writers
 let on_write_committed t f = t.committed_observer <- Some f
-let writes_committed t = t.writes_committed
-let last_commit_time t = t.last_commit_time
 
 let make_keepalive t =
   Keepalive.make ~master_key:t.key
@@ -166,13 +160,6 @@ let record_peer_slaves t ~master ~slaves = Hashtbl.replace t.peer_slave_sets mas
 let peer_slaves t ~of_ =
   match Hashtbl.find_opt t.peer_slave_sets of_ with Some l -> l | None -> []
 
-let adopt_slaves t ~from =
-  Hashtbl.iter (fun id entry ->
-      Hashtbl.replace t.slaves id entry;
-      Slave.set_master entry.slave ~master_id:t.id)
-    from.slaves;
-  Hashtbl.reset from.slaves
-
 let bootstrap t ~preapplied entries =
   (match entries with
   | (first : Oplog.entry) :: _ when first.version <> Store.version t.store + 1 ->
@@ -204,8 +191,6 @@ let apply_committed t ~origin ~write_id op =
   let entry = { Oplog.version = version t + 1; op } in
   Store.apply t.store op;
   Oplog.append t.oplog entry;
-  t.writes_committed <- t.writes_committed + 1;
-  t.last_commit_time <- Sim.now t.sim;
   Stats.incr t.stats "master.writes_committed";
   emit t (Event.Write_committed { master = t.id; version = entry.Oplog.version });
   broadcast_to_slaves t [ entry ];

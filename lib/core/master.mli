@@ -66,10 +66,6 @@ val slave_ids : t -> int list
 val assign_slave : t -> rng:Secrep_crypto.Prng.t -> excluding:int list -> Slave.t option
 (** Pick a live slave for a (re)connecting client. *)
 
-val adopt_slaves : t -> from:t -> unit
-(** Master-crash recovery: absorb another master's slave set (the
-    periodic slave-list broadcast of §3 makes this possible). *)
-
 val record_peer_slaves : t -> master:int -> slaves:int list -> unit
 (** Remember a peer's broadcast slave list (§3: "masters also
     periodically broadcast their slave list to the master set"). *)
@@ -120,6 +116,3 @@ val is_alive : t -> bool
 
 val on_write_committed : t -> (Secrep_store.Oplog.entry -> commit_time:float -> unit) -> unit
 (** Observer hook the system uses to feed the auditor. *)
-
-val writes_committed : t -> int
-val last_commit_time : t -> float

@@ -1,7 +1,8 @@
 module Sig_scheme = Secrep_crypto.Sig_scheme
 module Merkle = Secrep_crypto.Merkle
-module Hex = Secrep_crypto.Hex
 module Query = Secrep_store.Query
+module Codec = Secrep_store.Codec
+module Writer = Codec.Writer
 module Canonical = Secrep_store.Canonical
 
 type sig_mode = Single | Batched of { root : string; proof : Merkle.proof }
@@ -16,38 +17,46 @@ type t = {
   mode : sig_mode;
 }
 
-(* Nonce 0 means "no nonce" and keeps the legacy payload bytes, so
-   signatures made before the replay hardening (and every run with
-   [Config.read_nonces] off) verify unchanged.  A real nonce gets its
-   own domain-separated prefix: a replayed pledge then signs a stale
-   nonce and can never collide with the payload the client expects. *)
-let payload ?(nonce = 0) ~slave_id ~query ~result_digest ~keepalive () =
-  let ka =
-    Keepalive.signed_payload keepalive ^ "~" ^ Hex.encode keepalive.Keepalive.signature
-  in
-  if nonce = 0 then
-    Printf.sprintf "pledge|%d|%s|%s|%s" slave_id
-      (Hex.encode (Canonical.of_query query))
-      (Hex.encode result_digest) ka
-  else
-    Printf.sprintf "pledge-n|%d|%d|%s|%s|%s" slave_id nonce
-      (Hex.encode (Canonical.of_query query))
-      (Hex.encode result_digest) ka
+(* Every signed payload starts with a domain byte, so no two kinds of
+   signed bytes can be confused: 0 and 2 are the single-pledge frame
+   tags below (without and with a nonce), 4 a batch root, 5 a
+   keep-alive and 6 a certificate.  The batched frame tags 1 and 3 are
+   never signed. *)
+let batch_domain = 4
 
-(* Domain-separated so a signed batch root can never be confused with a
-   directly-signed single pledge (and vice versa). *)
-let batch_payload ~slave_id ~root =
-  Printf.sprintf "pledge-batch|%d|%s" slave_id (Hex.encode root)
-
-let make ?(nonce = 0) ~slave_key ~slave_id ~query ~result_digest ~keepalive () =
-  let signature =
-    Sig_scheme.sign slave_key (payload ~nonce ~slave_id ~query ~result_digest ~keepalive ())
-  in
-  { slave_id; query; result_digest; keepalive; nonce; signature; mode = Single }
+(* The frame up to the signature: the tag (1 if batched, plus 2 when a
+   nonce follows the slave id), then the signed fields.  A real nonce
+   changes the tag, so a replayed pledge signs a stale nonce and can
+   never collide with the payload the client expects. *)
+let write_head w ~batched t =
+  Writer.u8 w ((if batched then 1 else 0) + if t.nonce = 0 then 0 else 2);
+  Writer.varint w t.slave_id;
+  if t.nonce <> 0 then Writer.varint w t.nonce;
+  Writer.bytes w (Codec.encode_query t.query);
+  Writer.bytes w t.result_digest;
+  Keepalive.write w t.keepalive
 
 let signed_payload t =
-  payload ~nonce:t.nonce ~slave_id:t.slave_id ~query:t.query ~result_digest:t.result_digest
-    ~keepalive:t.keepalive ()
+  let w = Writer.create () in
+  write_head w ~batched:false t;
+  Writer.contents w
+
+let unsigned ~nonce ~slave_id ~query ~result_digest ~keepalive =
+  { slave_id; query; result_digest; keepalive; nonce; signature = ""; mode = Single }
+
+let payload ?(nonce = 0) ~slave_id ~query ~result_digest ~keepalive () =
+  signed_payload (unsigned ~nonce ~slave_id ~query ~result_digest ~keepalive)
+
+let batch_payload ~slave_id ~root =
+  let w = Writer.create () in
+  Writer.u8 w batch_domain;
+  Writer.varint w slave_id;
+  Writer.bytes w root;
+  Writer.contents w
+
+let make ?(nonce = 0) ~slave_key ~slave_id ~query ~result_digest ~keepalive () =
+  let t = unsigned ~nonce ~slave_id ~query ~result_digest ~keepalive in
+  { t with signature = Sig_scheme.sign slave_key (signed_payload t) }
 
 let sign_batch ~slave_key ~slave_id ~root =
   Sig_scheme.sign slave_key (batch_payload ~slave_id ~root)

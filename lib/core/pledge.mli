@@ -20,11 +20,11 @@ type sig_mode =
 type t = {
   slave_id : int;
   query : Secrep_store.Query.t;
-  result_digest : string;  (** SHA-1 of the canonical result *)
+  result_digest : string;  (** {!Secrep_store.Canonical.result_digest} of the result *)
   keepalive : Keepalive.t;  (** master-signed version + timestamp *)
   nonce : int;
       (** the client-minted read nonce this pledge is bound to (the
-          read's lineage request id); 0 = legacy pledge without a
+          read's lineage request id); 0 = a pledge without a
           nonce.  Covered by the signature, so a replayed pledge
           carries its original nonce and fails the client's check. *)
   signature : string;
@@ -43,7 +43,7 @@ val make :
   unit ->
   t
 (** Individually-signed ([Single]) pledge.  [nonce] defaults to 0
-    (legacy, un-nonced payload). *)
+    (no nonce). *)
 
 val payload :
   ?nonce:int ->
@@ -54,17 +54,24 @@ val payload :
   unit ->
   string
 (** The pledge payload bytes before a pledge exists — what a batching
-    slave hashes into Merkle leaves prior to signing the root.  With
-    [nonce = 0] this is byte-identical to the pre-nonce payload;
-    otherwise a domain-separated variant that also covers the nonce. *)
+    slave hashes into Merkle leaves prior to signing the root. *)
 
 val signed_payload : t -> string
 (** The byte string a [Single] signature covers — also the Merkle leaf
-    a [Batched] proof authenticates. *)
+    a [Batched] proof authenticates.  It is the pledge's frame written
+    as if single, up to the signature ({!write_head}); its first byte
+    is the frame tag, 0 without a nonce and 2 with one. *)
 
 val batch_payload : slave_id:int -> root:string -> string
-(** The byte string a batch signature covers; domain-separated from
-    single-pledge payloads. *)
+(** The byte string a batch signature covers: domain byte 4, the slave
+    id and the root. *)
+
+val write_head : Secrep_store.Codec.Writer.t -> batched:bool -> t -> unit
+(** A pledge's frame up to its signature: the tag (1 if [batched], plus
+    2 when the pledge carries a nonce), the slave id, the nonce if any,
+    the query's {!Secrep_store.Codec} bytes, the result digest and the
+    keep-alive frame ({!Keepalive.write}).  {!Wire} appends the
+    signature and a batched pledge's proof. *)
 
 val sign_batch :
   slave_key:Secrep_crypto.Sig_scheme.keypair -> slave_id:int -> root:string -> string

@@ -12,6 +12,7 @@ module Oplog = Secrep_store.Oplog
 module Query = Secrep_store.Query
 module Query_eval = Secrep_store.Query_eval
 module Query_result = Secrep_store.Query_result
+module Codec = Secrep_store.Codec
 module Canonical = Secrep_store.Canonical
 
 type read_reply = { result : Query_result.t; pledge : Pledge.t }
@@ -46,15 +47,15 @@ type t = {
   mutable keepalive : Keepalive.t option;
   mutable excluded : bool;
   mutable resync : (slave_id:int -> from_version:int -> unit) option;
-  mutable reads_served : int;
-  mutable lies_told : int;
+  mutable lies_told : int;  (* names each fabricated result *)
   mutable pending : intent list;  (* newest first *)
   mutable batch_gen : int;  (* bumped on every flush; stales window timers *)
   attack : Fault.state;  (* strategic-mode state: pressure EWMA, bursts *)
   mutable replay_ammo : (Query_result.t * Pledge.t) option;
       (* last honestly-signed reply, saved by a Replay_pledge attacker *)
   mutable last_lie : (int * string * float) option;
-      (* (client, query digest, time) of the last lie — near-miss sensing *)
+      (* (client, Codec query bytes, time) of the last lie — near-miss
+         sensing *)
 }
 
 let create sim ~rng ~id ~config ~master_id ~stats ~trace ~spans =
@@ -74,7 +75,6 @@ let create sim ~rng ~id ~config ~master_id ~stats ~trace ~spans =
     keepalive = None;
     excluded = false;
     resync = None;
-    reads_served = 0;
     lies_told = 0;
     pending = [];
     batch_gen = 0;
@@ -171,8 +171,6 @@ let reinstate t ~checkpoint ~keepalive =
     t.behavior <- Fault.Honest;
     t.excluded <- false;
     Ok ()
-let reads_served t = t.reads_served
-let lies_told t = t.lies_told
 let work t = t.work
 
 (* A forged digest over the true result would fail the client's own
@@ -239,7 +237,6 @@ let flush_batch t =
                   mode = Pledge.Batched { root; proof };
                 }
               in
-              t.reads_served <- t.reads_served + 1;
               Stats.incr t.stats "slave.reads_served";
               emit t
                 (Event.Pledge_signed
@@ -336,15 +333,15 @@ let handle_read t ~client ~request ~query ~reply =
         && keepalive.Keepalive.version = Store.version t.store
       in
       let nonce = if t.config.Config.read_nonces then request else 0 in
-      let qdigest = Secrep_crypto.Hex.encode (Canonical.query_digest query) in
       (* Near-miss sensing: the client we just lied to re-asking the
          same query within the freshness window means a verification or
          double-check went against us.  An [Adaptive] attacker reacts
          by going quiet. *)
       (match (t.behavior, t.last_lie) with
-      | Fault.Malicious { mode = Fault.Adaptive _; _ }, Some (c, qd, tl)
-        when c = client && qd = qdigest
-             && now -. tl <= 2.0 *. t.config.Config.max_latency ->
+      | Fault.Malicious { mode = Fault.Adaptive _; _ }, Some (c, lied_query, tl)
+        when c = client
+             && now -. tl <= 2.0 *. t.config.Config.max_latency
+             && String.equal lied_query (Codec.encode_query query) ->
         Fault.note_near_miss t.attack ~now ~cooldown:(2.0 *. t.config.Config.max_latency);
         Fault.bump_pressure t.attack ~now ~amount:0.5;
         t.last_lie <- None
@@ -367,14 +364,13 @@ let handle_read t ~client ~request ~query ~reply =
         (match decision with Fault.Act Fault.Replay_pledge -> t.replay_ammo | _ -> None)
       with
       | Some (r_result, r_pledge) ->
-        t.reads_served <- t.reads_served + 1;
         Stats.incr t.stats "slave.reads_served";
         t.lies_told <- t.lies_told + 1;
         Stats.incr t.stats "slave.lies_told";
         emit t
           (Event.Attack_launched
              { slave = t.id; mode = behavior_mode_name; client; request });
-        t.last_lie <- Some (client, qdigest, now);
+        t.last_lie <- Some (client, Codec.encode_query query, now);
         reply (Some { result = r_result; pledge = r_pledge })
       | None ->
       (* Map the strategic modes onto the concrete lie machinery: the
@@ -397,7 +393,7 @@ let handle_read t ~client ~request ~query ~reply =
         emit t
           (Event.Attack_launched
              { slave = t.id; mode = behavior_mode_name; client; request });
-        t.last_lie <- Some (client, qdigest, now)
+        t.last_lie <- Some (client, Codec.encode_query query, now)
       end;
       let stock_ammo =
         (* honest read served by a replay attacker: remember the reply *)
@@ -442,7 +438,6 @@ let handle_read t ~client ~request ~query ~reply =
                   | Some i -> enqueue_intent t i
                   | None ->
                     (* silence; the client times out *)
-                    t.reads_served <- t.reads_served + 1;
                     Stats.incr t.stats "slave.reads_served")
           end
           else begin
@@ -454,7 +449,6 @@ let handle_read t ~client ~request ~query ~reply =
             Work_queue.submit t.work ~cost (fun () ->
                 if t.excluded then reply None
                 else begin
-                  t.reads_served <- t.reads_served + 1;
                   Stats.incr t.stats "slave.reads_served";
                   (* [None] is silence; the client times out. *)
                   Option.iter (sign_single t) (intent ())

@@ -83,6 +83,4 @@ val reinstate : t -> checkpoint:string -> keepalive:Keepalive.t -> (unit, string
     the master-provided checkpoint (a {!Secrep_store.Store.to_bytes}
     image), reset behaviour to honest and resume serving. *)
 
-val reads_served : t -> int
-val lies_told : t -> int
 val work : t -> Secrep_sim.Work_queue.t

@@ -4,12 +4,12 @@ module Reader = Codec.Reader
 module Sig_scheme = Secrep_crypto.Sig_scheme
 module Merkle = Secrep_crypto.Merkle
 
-let write_keepalive w (ka : Keepalive.t) =
-  Writer.bytes w ka.content_id;
-  Writer.varint w ka.version;
-  Writer.float w ka.timestamp;
-  Writer.varint w ka.master_id;
-  Writer.bytes w ka.signature
+(* Writers live with their types, next to the signed payloads that
+   share their field order; the readers here mirror them. *)
+let via_writer write x =
+  let w = Writer.create () in
+  write w x;
+  Writer.contents w
 
 let read_keepalive r : Keepalive.t =
   let content_id = Reader.bytes r in
@@ -19,31 +19,21 @@ let read_keepalive r : Keepalive.t =
   let signature = Reader.bytes r in
   { content_id; version; timestamp; master_id; signature }
 
-let encode_keepalive ka =
-  let w = Writer.create () in
-  write_keepalive w ka;
-  Writer.contents w
+let encode_keepalive = via_writer Keepalive.write
 
 let decode_keepalive s = Reader.run s read_keepalive
 
-(* Mode tag first: 0 = single, 1 = batched (root + inclusion proof
-   follow the common fields); 2 and 3 are their nonce-bearing variants
-   with the nonce varint after the slave id.  Nonce-0 pledges keep the
-   legacy tags so pre-hardening frames stay byte-identical.  Proof
-   sides are one byte each: 0 = the sibling hashes in from the left,
-   1 = from the right. *)
+(* [Pledge.write_head] writes the mode tag (0 = single, 1 = batched;
+   2 and 3 are their nonce-bearing variants, with the nonce varint
+   after the slave id) and the signed fields.  The signature follows,
+   then a batched pledge's root and inclusion proof.  Proof sides are
+   one byte each: 0 = the sibling hashes in from the left, 1 = from the
+   right. *)
 let encode_pledge (p : Pledge.t) =
   let w = Writer.create () in
-  (match (p.mode, p.nonce) with
-  | Pledge.Single, 0 -> Writer.u8 w 0
-  | Pledge.Batched _, 0 -> Writer.u8 w 1
-  | Pledge.Single, _ -> Writer.u8 w 2
-  | Pledge.Batched _, _ -> Writer.u8 w 3);
-  Writer.varint w p.slave_id;
-  if p.nonce <> 0 then Writer.varint w p.nonce;
-  Writer.bytes w (Codec.encode_query p.query);
-  Writer.bytes w p.result_digest;
-  write_keepalive w p.keepalive;
+  Pledge.write_head w
+    ~batched:(match p.mode with Pledge.Single -> false | Pledge.Batched _ -> true)
+    p;
   Writer.bytes w p.signature;
   (match p.mode with
   | Pledge.Single -> ()
@@ -108,14 +98,7 @@ let decode_pledge s =
       in
       { Pledge.slave_id; query; result_digest; keepalive; nonce; signature; mode })
 
-let encode_certificate (c : Certificate.t) =
-  let w = Writer.create () in
-  Writer.bytes w c.content_id;
-  Writer.varint w c.master_id;
-  Writer.bytes w c.address;
-  Writer.bytes w (Sig_scheme.encode_public c.master_public);
-  Writer.bytes w c.signature;
-  Writer.contents w
+let encode_certificate = via_writer Certificate.write
 
 let decode_certificate s =
   Reader.run s (fun r ->
@@ -132,6 +115,3 @@ let decode_certificate s =
 
 let pledge_size p = String.length (encode_pledge p)
 let keepalive_size ka = String.length (encode_keepalive ka)
-
-let update_size entries ka =
-  String.length (Codec.encode_entries entries) + keepalive_size ka

@@ -20,5 +20,3 @@ val pledge_size : Pledge.t -> int
 (** Encoded size in bytes, for link bandwidth accounting. *)
 
 val keepalive_size : Keepalive.t -> int
-val update_size : Secrep_store.Oplog.entry list -> Keepalive.t -> int
-(** Size of a master->slave state update carrying these entries. *)

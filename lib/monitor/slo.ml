@@ -26,10 +26,6 @@ type config = {
 let config ?window (cfg : Config.t) =
   let ml = cfg.Config.max_latency in
   let window = match window with Some w -> w | None -> 6.0 *. ml in
-  let read_slack =
-    float_of_int (cfg.Config.read_retry_limit + 2)
-    *. ((cfg.Config.read_timeout_factor *. ml) +. cfg.Config.retry_backoff_cap)
-  in
   {
     max_latency = ml;
     window;
@@ -42,7 +38,7 @@ let config ?window (cfg : Config.t) =
     avail_min_samples = 10;
     (* A read still unanswered this long after issue has outlived every
        retry, timeout and backoff the client could legally spend. *)
-    read_deadline = read_slack +. ml;
+    read_deadline = Config.read_give_up_bound cfg +. ml;
     (* Conviction of a lie at version v waits at most for commit(v+1)
        to age past the audit lag slack, plus delivery and re-execution. *)
     detection_budget = (2.0 *. ml) +. cfg.Config.audit_lag_slack +. 1.0;

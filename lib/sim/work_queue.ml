@@ -20,8 +20,5 @@ let submit t ~cost k =
          k ()))
 
 let busy_until t = t.busy_until
-let queue_delay t = Float.max 0.0 (t.busy_until -. Sim.now t.sim)
 let completed t = t.completed
 let busy_seconds t = t.busy_seconds
-
-let utilization t ~now = if now <= 0.0 then 0.0 else Float.min 1.0 (t.busy_seconds /. now)

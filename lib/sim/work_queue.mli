@@ -16,12 +16,6 @@ val submit : t -> cost:float -> (unit -> unit) -> unit
 val busy_until : t -> float
 (** Simulated time at which currently queued work drains. *)
 
-val queue_delay : t -> float
-(** How long newly submitted work would wait before starting. *)
-
 val completed : t -> int
 val busy_seconds : t -> float
 (** Total simulated compute charged so far. *)
-
-val utilization : t -> now:float -> float
-(** [busy_seconds / now]; 0 before time advances. *)

@@ -22,7 +22,7 @@ let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Audit_index.create: capacity must be positive";
   { capacity; table = Hashtbl.create (min capacity 256); hits = 0; misses = 0 }
 
-let key ~version q = (version, Canonical.of_query q)
+let key ~version q = (version, Codec.encode_query q)
 
 let find t ~version q =
   match Hashtbl.find_opt t.table (key ~version q) with

@@ -1,6 +1,6 @@
 (** The auditor's re-execution memo.
 
-    Keyed by (content version, canonical query encoding).  The auditor
+    Keyed by (content version, {!Codec} query encoding).  The auditor
     re-executes a read on a miss and records its digest ([store]);
     every later pledge for the same (version, query) settles against
     the memoized digest ([find], counted as a hit).  The memo holds the
@@ -14,7 +14,7 @@ val create : ?capacity:int -> unit -> t
 (** Default capacity: 4096 entries.  Raises [Invalid_argument] below 1. *)
 
 val find : t -> version:int -> Query.t -> string option
-(** Memoized canonical result digest; counts a hit or a miss. *)
+(** Memoized result digest; counts a hit or a miss. *)
 
 val store : t -> version:int -> Query.t -> digest:string -> unit
 (** Record the digest of a fresh re-execution, emptying the memo first

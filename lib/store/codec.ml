@@ -84,20 +84,24 @@ type 'a decoder = string -> ('a, string) result
 
 (* --- values ----------------------------------------------------------- *)
 
+(* A signed int: [tag] then [i] when [i >= 0], else [tag + 1] then
+   [-(i + 1)], so every int has its own bytes. *)
+let write_int w ~tag i =
+  if i >= 0 then begin
+    Writer.u8 w tag;
+    Writer.varint w i
+  end
+  else begin
+    Writer.u8 w (tag + 1);
+    Writer.varint w (-(i + 1))
+  end
+
 let rec write_value w (v : Value.t) =
   match v with
   | Null -> Writer.u8 w 0
   | Bool false -> Writer.u8 w 1
   | Bool true -> Writer.u8 w 2
-  | Int i ->
-    if i >= 0 then begin
-      Writer.u8 w 3;
-      Writer.varint w i
-    end
-    else begin
-      Writer.u8 w 4;
-      Writer.varint w (-(i + 1))
-    end
+  | Int i -> write_int w ~tag:3 i
   | Float f ->
     Writer.u8 w 5;
     Writer.float w f
@@ -270,9 +274,7 @@ let write_query w (q : Query.t) =
       List.iter (Writer.bytes w) fields);
     (match limit with
     | None -> Writer.u8 w 0
-    | Some l ->
-      Writer.u8 w 1;
-      Writer.varint w (max 0 l))
+    | Some l -> write_int w ~tag:1 l)
   | Grep { from; pattern } ->
     Writer.u8 w 1;
     write_selector w from;
@@ -301,6 +303,7 @@ let read_query r : Query.t =
       match Reader.u8 r with
       | 0 -> None
       | 1 -> Some (Reader.varint r)
+      | 2 -> Some (-Reader.varint r - 1)
       | tag -> raise (Reader.Malformed (Printf.sprintf "bad option tag %d" tag))
     in
     Select { from; where; project; limit }
@@ -422,8 +425,6 @@ let encode_result = via_writer write_result
 let decode_result s = Reader.run s read_result
 let encode_op = via_writer write_op
 let decode_op s = Reader.run s read_op
-let encode_entry = via_writer write_entry
-let decode_entry s = Reader.run s read_entry
 
 let encode_entries entries =
   let w = Writer.create () in

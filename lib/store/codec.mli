@@ -1,10 +1,11 @@
-(** Binary wire encodings (with decoders) for store types.
-
-    {!Canonical} produces injective bytes for *hashing* but cannot be
-    decoded; this module is the transport format: length-prefixed,
-    tagged, and decodable.  Decoders never raise on malformed input —
-    they return [Error] — so a byte-flipping network or a malicious
-    peer cannot crash a node. *)
+(** The one byte format of store values: length-prefixed, tagged and
+    decodable.  It is the transport format, the snapshot format and the
+    bytes that are hashed and signed ({!Canonical} is SHA-1 over it), so
+    it must stay deterministic and injective: equal values give equal
+    bytes, distinct values distinct bytes.  Floats are written by their
+    IEEE bit pattern and documents in sorted field order.  Decoders
+    never raise on malformed input — they return [Error] — so a
+    byte-flipping network or a malicious peer cannot crash a node. *)
 
 type 'a decoder = string -> ('a, string) result
 
@@ -22,9 +23,6 @@ val decode_result : Query_result.t decoder
 
 val encode_op : Oplog.op -> string
 val decode_op : Oplog.op decoder
-
-val encode_entry : Oplog.entry -> string
-val decode_entry : Oplog.entry decoder
 
 val encode_entries : Oplog.entry list -> string
 val decode_entries : Oplog.entry list decoder

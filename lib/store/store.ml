@@ -94,14 +94,4 @@ let of_bytes s =
       done;
       { docs = !docs; version })
 
-let content_hash t =
-  let ctx = Secrep_crypto.Sha1.init () in
-  Secrep_crypto.Sha1.feed ctx (Printf.sprintf "v%d;" t.version);
-  Key_map.iter
-    (fun key doc ->
-      Secrep_crypto.Sha1.feed ctx key;
-      Secrep_crypto.Sha1.feed ctx "=";
-      Secrep_crypto.Sha1.feed ctx (Canonical.of_document doc);
-      Secrep_crypto.Sha1.feed ctx ";")
-    t.docs;
-  Secrep_crypto.Sha1.finalize ctx
+let content_hash t = Secrep_crypto.Sha1.digest (to_bytes t)

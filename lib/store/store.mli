@@ -37,8 +37,8 @@ val assign : t -> from:t -> unit
     for checkpoint installation during slave recovery). *)
 
 val content_hash : t -> string
-(** SHA-1 over the canonical encoding of the full content plus
-    version; equal on replicas holding identical state. *)
+(** SHA-1 of {!to_bytes}; equal on replicas holding identical
+    state. *)
 
 val to_bytes : t -> string
 (** Serialize the full store (version + documents) with {!Codec};

@@ -65,14 +65,15 @@ let issue_read t =
       | `Accepted _ | `Served_by_master _ -> Histogram.add t.latencies report.Client.latency
       | `Gave_up -> ())
 
-(* Arrival times are drawn up front from [t.rng] ([next] maps one
-   arrival to the next), so successive calls on one [t] (reads, then
-   writes) draw in call order.  Each time is rebased as
-   [start + (time - start)], the instant a [~delay:(time - start)]
-   schedule at [start] names.  Only the next arrival sits on the event
-   queue: each one arms its successor when it fires, before its own
-   action runs. *)
-let schedule_arrivals t ~duration ~next action =
+(* Poisson arrivals at [rate]/s.  The times are drawn up front from
+   [t.rng], so successive calls on one [t] (reads, then writes) draw in
+   call order.  Each time is rebased as [start + (time - start)], the
+   instant a [~delay:(time - start)] schedule at [start] names.  Only
+   the next arrival sits on the event queue: each one arms its
+   successor when it fires, before its own action runs. *)
+let schedule_poisson t ~rate ~duration action =
+  if rate <= 0.0 then invalid_arg "Driver: rate must be positive";
+  let next time = time +. Prng.exponential t.rng ~mean:(1.0 /. rate) in
   let sim = System.sim t.system in
   let start = Sim.now sim in
   let stop = start +. duration in
@@ -97,18 +98,7 @@ let schedule_arrivals t ~duration ~next action =
   in
   arm 0
 
-let schedule_poisson t ~rate ~duration action =
-  if rate <= 0.0 then invalid_arg "Driver: rate must be positive";
-  schedule_arrivals t ~duration
-    ~next:(fun time -> time +. Prng.exponential t.rng ~mean:(1.0 /. rate))
-    action
-
 let run_reads t ~rate ~duration = schedule_poisson t ~rate ~duration (fun () -> issue_read t)
-
-let run_diurnal_reads t ~diurnal ~duration =
-  schedule_arrivals t ~duration
-    ~next:(fun now -> Diurnal.next_arrival diurnal t.rng ~now)
-    (fun () -> issue_read t)
 
 let run_writes t ~rate ~duration ~writer =
   schedule_poisson t ~rate ~duration (fun () ->

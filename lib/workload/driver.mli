@@ -50,8 +50,6 @@ val run_reads :
     is on the event queue at a time, so [Sim.pending] (the
     [sim.pending_events] gauge) does not count the later ones. *)
 
-val run_diurnal_reads : t -> diurnal:Diurnal.t -> duration:float -> unit
-
 val run_writes :
   t -> rate:float -> duration:float -> writer:int -> unit
 (** Poisson write arrivals issued by client [writer]. *)

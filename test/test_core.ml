@@ -18,6 +18,7 @@ module Oplog = Secrep_store.Oplog
 module Document = Secrep_store.Document
 module Value = Secrep_store.Value
 module Canonical = Secrep_store.Canonical
+module Codec = Secrep_store.Codec
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -382,6 +383,45 @@ let test_wire_garbage_rejected () =
       check bool_t "public-key garbage" true
         (match Sig_scheme.decode_public s with Error _ -> true | Ok _ -> false))
     garbage
+
+(* A single pledge signs its own frame up to the signature, so the
+   signed bytes and the wire bytes share one field order. *)
+let test_wire_pledge_payload_is_frame_prefix () =
+  let _, slave_key, keepalive, query, _, pledge = pledge_fixture () in
+  let nonced =
+    Pledge.make ~nonce:7 ~slave_key ~slave_id:9 ~query
+      ~result_digest:pledge.Pledge.result_digest ~keepalive ()
+  in
+  List.iter
+    (fun (label, p) ->
+      let signature = Codec.Writer.create () in
+      Codec.Writer.bytes signature p.Pledge.signature;
+      check string_t (label ^ ": frame = payload ^ signature")
+        (Pledge.signed_payload p ^ Codec.Writer.contents signature)
+        (Wire.encode_pledge p))
+    [ ("nonce 0", pledge); ("nonce 7", nonced) ]
+
+(* Every kind of signed bytes opens with its own domain byte, so no
+   signature can be replayed as another kind's. *)
+let test_wire_payload_domains_differ () =
+  let _, _, keepalive, _, _, pledge = pledge_fixture () in
+  let g = Prng.create ~seed:92L in
+  let content = Content_key.create Sig_scheme.Hmac_sim g in
+  let cert =
+    Certificate.issue content ~master_id:1 ~address:"h:1"
+      (Sig_scheme.public_of (Sig_scheme.generate Sig_scheme.Hmac_sim g))
+  in
+  let payloads =
+    [
+      Pledge.signed_payload pledge;
+      Pledge.signed_payload { pledge with Pledge.nonce = 7 };
+      Pledge.batch_payload ~slave_id:9 ~root:(String.make 32 'r');
+      Keepalive.signed_payload keepalive;
+      Certificate.signed_payload cert;
+    ]
+  in
+  check int_t "distinct first bytes" (List.length payloads)
+    (List.length (List.sort_uniq Char.compare (List.map (fun s -> s.[0]) payloads)))
 
 (* ---------------- Wire: adversarial frames ---------------- *)
 
@@ -1700,6 +1740,9 @@ let () =
           Alcotest.test_case "batched pledge roundtrip" `Quick
             test_wire_batched_pledge_roundtrip;
           Alcotest.test_case "certificate roundtrip" `Quick test_wire_certificate_roundtrip;
+          Alcotest.test_case "pledge payload is its frame's prefix" `Quick
+            test_wire_pledge_payload_is_frame_prefix;
+          Alcotest.test_case "payload domains differ" `Quick test_wire_payload_domains_differ;
           Alcotest.test_case "rsa public roundtrip" `Quick test_wire_rsa_public_roundtrip;
           Alcotest.test_case "garbage rejected" `Quick test_wire_garbage_rejected;
           Alcotest.test_case "truncation rejected" `Quick test_wire_truncation_rejected;

@@ -1,5 +1,6 @@
 (* Tests for the content-store substrate: the regex engine, values,
-   documents, the query language and evaluator, canonical encodings,
+   documents, the query language and evaluator, the codec and the
+   digests over it,
    the versioned store, op log and the auditor's re-execution memo. *)
 
 open Secrep_store
@@ -711,7 +712,7 @@ let test_eval_cost_seconds () =
   check bool_t "point cheap" true (c1 < 1e-4);
   check bool_t "scan pays per doc" true (c2 > 0.05)
 
-(* ---------------- Canonical ---------------- *)
+(* ---------------- Canonical digests ---------------- *)
 
 let test_canonical_distinguishes () =
   let open Query_result in
@@ -726,8 +727,8 @@ let test_canonical_distinguishes () =
   in
   List.iter
     (fun (a, b) ->
-      check bool_t "encodings differ" false
-        (String.equal (Canonical.of_result a) (Canonical.of_result b)))
+      check bool_t "digests differ" false
+        (String.equal (Canonical.result_digest a) (Canonical.result_digest b)))
     pairs
 
 let test_canonical_all_query_forms_distinct () =
@@ -739,6 +740,7 @@ let test_canonical_all_query_forms_distinct () =
       Query.point_read "k";
       Query.Select { from = Query.Key "k"; where = Query.True; project = Some []; limit = None };
       Query.Select { from = Query.Key "k"; where = Query.True; project = None; limit = Some 0 };
+      Query.Select { from = Query.Key "k"; where = Query.True; project = None; limit = Some (-1) };
       Query.Select { from = Query.Prefix "k"; where = Query.True; project = None; limit = None };
       Query.Select
         { from = Query.Key_range { lo = "k"; hi = "k" }; where = Query.True; project = None; limit = None };
@@ -773,12 +775,13 @@ let test_canonical_query_digest () =
   check bool_t "same query same digest" true
     (String.equal (Canonical.query_digest q1) (Canonical.query_digest (Query.point_read "a")))
 
+(* Digests hash Codec bytes, so Codec must be injective. *)
 let prop_canonical_value_injective_ish =
   qtest ~count:300 "canonical: distinct values encode distinctly"
     QCheck2.Gen.(pair gen_value gen_value)
     (fun (a, b) ->
-      if Value.equal a b then String.equal (Canonical.of_value a) (Canonical.of_value b)
-      else not (String.equal (Canonical.of_value a) (Canonical.of_value b)))
+      if Value.equal a b then String.equal (Codec.encode_value a) (Codec.encode_value b)
+      else not (String.equal (Codec.encode_value a) (Codec.encode_value b)))
 
 (* ---------------- Codec ---------------- *)
 
@@ -833,7 +836,7 @@ let gen_query =
           (pair gen_selector gen_predicate)
           (pair
              (option (list_size (int_bound 4) (string_size (int_bound 6))))
-             (option (int_bound 100)));
+             (option (int_range (-100) 100)));
         map2 (fun from pattern -> Query.Grep { from; pattern }) gen_selector
           (string_size (int_bound 8));
         map2
@@ -867,19 +870,43 @@ let prop_codec_query_roundtrip =
       | Ok q' -> Query.equal q q'
       | Error _ -> false)
 
+let gen_result =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun rows -> Query_result.Rows rows)
+          (list_size (int_bound 5) (pair (string_size (int_bound 6)) gen_document));
+        map (fun ms -> Query_result.Matches ms)
+          (list_size (int_bound 5)
+             (triple (string_size (int_bound 6)) (string_size (int_bound 6))
+                (string_size (int_bound 6))));
+        map (fun v -> Query_result.Agg v) gen_value;
+      ])
+
+(* The digests are SHA-1 over Codec's bytes: one format, hashed. *)
+let prop_canonical_result_digest_is_codec =
+  qtest ~count:200 "canonical: result digest hashes Codec bytes" gen_result (fun r ->
+      String.equal (Canonical.result_digest r) (Secrep_crypto.Sha1.digest (Codec.encode_result r)))
+
+let prop_canonical_query_digest_is_codec =
+  qtest ~count:200 "canonical: query digest hashes Codec bytes" gen_query (fun q ->
+      String.equal (Canonical.query_digest q) (Secrep_crypto.Sha1.digest (Codec.encode_query q)))
+
+(* Pins the byte format that replicas hash and sign: a changed tag,
+   field order or length prefix moves these answers. *)
+let test_canonical_known_answers () =
+  let q = Query.Select { from = Query.Key "k"; where = Query.True; project = None; limit = Some (-1) } in
+  let r = Query_result.Rows [ ("k", doc [ ("b", Value.String "x"); ("a", Value.Int (-1)) ]) ] in
+  check string_t "query bytes" "\x00\x01\x01k\x00\x00\x02\x00" (Codec.encode_query q);
+  check string_t "result bytes" "\x00\x01\x01k\x02\x01a\x04\x00\x01b\x06\x01x"
+    (Codec.encode_result r);
+  check string_t "query digest" "fcbe2f25491b9348e71a9f36d710d5f85a0c6705"
+    (Secrep_crypto.Hex.encode (Canonical.query_digest q));
+  check string_t "result digest" "691918ab161c355299b64b57e29db25c00c86405"
+    (Secrep_crypto.Hex.encode (Canonical.result_digest r))
+
 let prop_codec_result_roundtrip =
-  qtest ~count:200 "codec: result roundtrip"
-    QCheck2.Gen.(
-      oneof
-        [
-          map (fun rows -> Query_result.Rows rows)
-            (list_size (int_bound 5) (pair (string_size (int_bound 6)) gen_document));
-          map (fun ms -> Query_result.Matches ms)
-            (list_size (int_bound 5)
-               (triple (string_size (int_bound 6)) (string_size (int_bound 6))
-                  (string_size (int_bound 6))));
-          map (fun v -> Query_result.Agg v) gen_value;
-        ])
+  qtest ~count:200 "codec: result roundtrip" gen_result
     (fun res ->
       match Codec.decode_result (Codec.encode_result res) with
       | Ok res' -> Query_result.equal res res'
@@ -1220,6 +1247,9 @@ let () =
             test_canonical_all_query_forms_distinct;
           Alcotest.test_case "query digests" `Quick test_canonical_query_digest;
           prop_canonical_value_injective_ish;
+          prop_canonical_result_digest_is_codec;
+          prop_canonical_query_digest_is_codec;
+          Alcotest.test_case "known answers" `Quick test_canonical_known_answers;
         ] );
       ( "query_result",
         [
