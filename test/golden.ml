@@ -3,7 +3,7 @@
    Usage: golden.exe BENCH CLI EXAMPLE...   (paths to bench/main.exe,
    bin/secrep_sim_cli.exe and the examples/*.exe programs)
 
-   Prints quick-mode E1-E13, eight pinned CLI commands and the four
+   Prints quick-mode E1-E13, nine pinned CLI commands and the four
    example programs in one stable rendering, which `dune runtest` diffs
    against golden.expected; after an intended change `dune promote`
    rewrites that file.  Lines ending in Exp_common.wall_clock_mark are
@@ -54,6 +54,8 @@ let pinned =
     "chaos --seed 5 --slo --trace-out T";
     "chaos --seed 2 --slo --trace-out T";
     "run --duration 60 --seed 3 --malicious 1 --lie-prob 0.05 --slo --trace-out T";
+    (* Every counter, gauge and span.* histogram, which no trace carries. *)
+    "run --duration 60 --seed 3 --malicious 1 --lie-prob 0.05 --metrics-out T";
   ]
 
 let command cli line =

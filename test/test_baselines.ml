@@ -21,6 +21,16 @@ let content =
         Document.of_fields
           [ ("text", Value.String (Printf.sprintf "payload %d" i)); ("n", Value.Int i) ] ))
 
+(* ---------------- Shared costs ---------------- *)
+
+let test_default_costs_match_config () =
+  let c = Secrep_core.Config.default and d = Baseline_common.default_costs in
+  let float_t = Alcotest.float 0.0 in
+  check float_t "per_doc_cost" c.Secrep_core.Config.per_doc_cost d.Baseline_common.per_doc_cost;
+  check float_t "signature_cost" c.Secrep_core.Config.signature_cost
+    d.Baseline_common.signature_cost;
+  check float_t "verify_cost" c.Secrep_core.Config.verify_cost d.Baseline_common.verify_cost
+
 (* ---------------- SMR quorum ---------------- *)
 
 let make_smr ?(f = 1) () =
@@ -182,6 +192,8 @@ let test_ss_proof_length_logarithmic () =
 let () =
   Alcotest.run "secrep_baselines"
     [
+      ( "costs",
+        [ Alcotest.test_case "match Config.default" `Quick test_default_costs_match_config ] );
       ( "smr_quorum",
         [
           Alcotest.test_case "3f+1 / 2f+1 shape" `Quick test_smr_shape;

@@ -39,6 +39,11 @@ let test_config_rejects () =
   check bool_t "audit fraction" true (bad (fun c -> { c with Config.audit_fraction = -0.1 }));
   check bool_t "greedy factor < 1" true (bad (fun c -> { c with Config.greedy_factor = 0.5 }))
 
+(* (5 retries + 2) x (2 x 5 s timeout + 2 s backoff cap). *)
+let test_config_give_up_bound () =
+  check (Alcotest.float 0.0) "default give-up bound" 84.0
+    (Config.read_give_up_bound Config.default)
+
 (* ---------------- Content key / certificate / directory ---------------- *)
 
 let test_content_identity () =
@@ -1711,6 +1716,7 @@ let () =
         [
           Alcotest.test_case "default valid" `Quick test_config_default_valid;
           Alcotest.test_case "rejects bad settings" `Quick test_config_rejects;
+          Alcotest.test_case "read give-up bound" `Quick test_config_give_up_bound;
         ] );
       ( "identity",
         [
