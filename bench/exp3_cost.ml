@@ -116,7 +116,7 @@ let run_smr ~n_reads ~seed ~f =
   let sim = Sim.create () in
   let rng = Prng.create ~seed in
   let smr =
-    Smr_quorum.create sim ~rng ~f ~costs:Baseline_common.default_costs ~latency:wan_latency ()
+    Smr_quorum.create sim ~rng ~f ~latency:wan_latency ()
   in
   let g = Prng.create ~seed:(Int64.add seed 9L) in
   Smr_quorum.load_content smr (Catalog.product_catalog g ~n:200);
@@ -133,7 +133,7 @@ let run_state_signing ~n_reads ~seed =
   let rng = Prng.create ~seed in
   let signer = Sig_scheme.generate Sig_scheme.Hmac_sim rng in
   let ss =
-    State_signing.create sim ~rng ~costs:Baseline_common.default_costs
+    State_signing.create sim ~rng
       ~storage_latency:(Latency.Exponential { mean = 0.004; floor = 0.006 })
       ~trusted_latency:wan_latency ~signer ()
   in

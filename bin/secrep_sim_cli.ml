@@ -146,9 +146,11 @@ let drive d ~seed ~read_rate ~write_rate ~duration =
   drivers
 
 (* [--trace-out]: the merged live stream as shard-tagged JSONL — every
-   shard event plus the deployment's placement events — or, at K = 1,
-   the chrome rendering of the shard's trace and span rings.  Returns
-   the writer to call after the run. *)
+   event from here on; set-up events emitted inside [Deployment.create]
+   (bootstrap applies and audit advances, placements) came before the
+   subscription and are not in it — or, at K = 1, the chrome rendering
+   of the shard's trace and span rings (the newest 4096 of each).
+   Returns the writer to call after the run. *)
 let record_trace d ~trace_out ~trace_format =
   match trace_out with
   | None -> ignore
@@ -189,12 +191,11 @@ let start_monitoring d ~config ~until =
 
 (* One health report per shard; [--slo-out] gets one
    [{"shard":i,"health":...}] line each. *)
-let finish_monitoring d ms ~slo_out ~lineage_out ~print_report =
+let finish_monitoring ms ~slo_out ~lineage_out ~print_report =
   let lines =
     Array.mapi
       (fun i m ->
-        let sys = Deployment.system d i in
-        let health = Health.build ~trace:(System.trace sys) ~slo:m.m_slo ~lineage:m.m_lineage () in
+        let health = Health.build ~slo:m.m_slo ~lineage:m.m_lineage () in
         if print_report then Format.printf "@.-- shard %d --@.%a" i Health.pp health;
         Export.Json.to_string
           (Export.Json.Obj [ ("shard", Export.Json.Int i); ("health", Health.to_json health) ]))
@@ -222,9 +223,9 @@ let monitoring_args =
       & opt (some string) None
       & info [ "slo-out" ] ~docv:"FILE"
           ~doc:
-            "Write the machine-readable JSON health summary (alerts, lineage, \
-             diagnostics) to $(docv) ('-' = stdout), one {\"shard\":i,\"health\":...} \
-             line per shard.  Implies the monitor is on.")
+            "Write the machine-readable JSON health summary (alerts, lineage, per-node \
+             rows) to $(docv) ('-' = stdout), one {\"shard\":i,\"health\":...} line per \
+             shard.  Implies the monitor is on.")
   in
   let lineage_out =
     Arg.(
@@ -235,30 +236,13 @@ let monitoring_args =
             "Write per-request causal lineage records (one JSON object per read) to \
              $(docv) ('-' = stdout).  Implies the monitor is on.  Needs --shards 1.")
   in
-  let trace_capacity =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "trace-capacity" ] ~docv:"N"
-          ~doc:
-            "Event-trace ring capacity of each shard (default 4096).  The health report \
-             warns when the ring wrapped and dropped events.")
-  in
-  let span_capacity =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "span-capacity" ] ~docv:"N"
-          ~doc:"Span ring capacity of each shard (default 4096).")
-  in
-  (slo, slo_out, lineage_out, trace_capacity, span_capacity)
+  (slo, slo_out, lineage_out)
 
 (* -- run ---------------------------------------------------------------- *)
 
 let run_simulation ~shards ~domains ~masters ~replication_factor ~clients ~items ~duration
     ~read_rate ~write_rate ~config ~malicious ~lie_prob ~lie_mode ~lie_from ~seed ~csv
-    ~trace_out ~trace_format ~metrics_out ~slo ~slo_out ~lineage_out ~trace_capacity
-    ~span_capacity =
+    ~trace_out ~trace_format ~metrics_out ~slo ~slo_out ~lineage_out =
   (* Reject bad flags before spending time on the simulation. *)
   check_outputs ~shards ~trace_format ~metrics_out ~lineage_out;
   let attack =
@@ -272,7 +256,7 @@ let run_simulation ~shards ~domains ~masters ~replication_factor ~clients ~items
   let d =
     Deployment.create ~n_shards:shards ~n_masters:masters ~replication_factor
       ~n_clients:clients ~config ~seed:(Int64.of_int seed) ~items_per_shard:items ~domains
-      ?trace_capacity ?span_capacity ()
+      ()
   in
   (* The attack targets shard [slave mod K], with [slave] as the local
      replica index. *)
@@ -370,7 +354,7 @@ let run_simulation ~shards ~domains ~masters ~replication_factor ~clients ~items
                     | Corrective.Delayed -> "delayed"))
                 (Corrective.events (System.corrective sys)))))
   end;
-  Option.iter (finish_monitoring d ~slo_out ~lineage_out ~print_report:(not csv)) monitors;
+  Option.iter (finish_monitoring ~slo_out ~lineage_out ~print_report:(not csv)) monitors;
   write_trace ();
   Option.iter
     (fun path ->
@@ -468,16 +452,6 @@ let run_cmd =
             "Attack: corrupt | stale | bad-signature | omit | collude:TAG | replay | \
              equivocate:CLIENT,... | adaptive:THRESHOLD | flaky-omit:BURST.")
   in
-  let adversary =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "adversary" ] ~docv:"MODE"
-          ~doc:
-            "Shorthand for a strategic adversary: sets --lie-mode to $(docv) and, when \
-             --malicious is absent, makes slave 0 malicious.  Same mode grammar as \
-             --lie-mode.")
-  in
   let lie_from =
     Arg.(value & opt float 0.0 & info [ "lie-from" ] ~doc:"Attack start time (sim seconds).")
   in
@@ -518,10 +492,10 @@ let run_cmd =
       & opt string "jsonl"
       & info [ "trace-format" ] ~docv:"FMT"
           ~doc:
-            "Trace dump format: $(b,jsonl) (the full shard-tagged event stream, one event \
-             per line, replayable with the $(b,trace) subcommand) or $(b,chrome) \
-             (trace_event JSON of the trace and span rings, loadable in Perfetto / \
-             chrome://tracing; needs --shards 1).")
+            "Trace dump format: $(b,jsonl) (the shard-tagged event stream after set-up, \
+             one event per line, replayable with the $(b,trace) subcommand) or \
+             $(b,chrome) (trace_event JSON of the newest 4096 trace records and spans, \
+             loadable in Perfetto / chrome://tracing; needs --shards 1).")
   in
   let metrics_out =
     Arg.(
@@ -532,20 +506,16 @@ let run_cmd =
             "Write counters, gauges and per-phase latency quantiles in Prometheus text \
              format to $(docv) ('-' = stdout).  Needs --shards 1.")
   in
-  let slo_flag, slo_out, lineage_out, trace_capacity, span_capacity = monitoring_args in
+  let slo_flag, slo_out, lineage_out = monitoring_args in
   let term =
     Term.(
       const
         (fun masters slaves_per_master shards domains replication_factor clients items
              duration
              read_rate write_rate double_check_p max_latency keepalive audit pledge_batch
-             pledge_batch_window malicious lie_prob lie_mode adversary lie_from
-             read_nonces audit_adaptive seed csv trace_out trace_format metrics_out slo
-             slo_out lineage_out trace_capacity span_capacity ->
-          let lie_mode = match adversary with Some m -> m | None -> lie_mode in
-          let malicious =
-            match (adversary, malicious) with Some _, None -> Some 0 | _, m -> m
-          in
+             pledge_batch_window malicious lie_prob lie_mode lie_from read_nonces
+             audit_adaptive seed csv trace_out trace_format metrics_out slo slo_out
+             lineage_out ->
           let config =
             Config.validate_exn
               {
@@ -565,13 +535,13 @@ let run_cmd =
               (Option.value replication_factor ~default:(masters * slaves_per_master))
             ~clients ~items ~duration ~read_rate ~write_rate ~config ~malicious ~lie_prob
             ~lie_mode ~lie_from ~seed ~csv ~trace_out ~trace_format ~metrics_out ~slo
-            ~slo_out ~lineage_out ~trace_capacity ~span_capacity)
+            ~slo_out ~lineage_out)
       $ masters $ slaves $ shards $ domains_arg $ replication_factor_arg $ clients $ items
       $ duration
       $ read_rate $ write_rate $ p $ max_latency $ keepalive $ audit $ pledge_batch
-      $ pledge_batch_window $ malicious $ lie_prob $ lie_mode $ adversary
-      $ lie_from $ read_nonces $ audit_adaptive $ seed $ csv $ trace_out $ trace_format
-      $ metrics_out $ slo_flag $ slo_out $ lineage_out $ trace_capacity $ span_capacity)
+      $ pledge_batch_window $ malicious $ lie_prob $ lie_mode $ lie_from $ read_nonces
+      $ audit_adaptive $ seed $ csv $ trace_out $ trace_format $ metrics_out $ slo_flag
+      $ slo_out $ lineage_out)
   in
   Cmd.v
     (Cmd.info "run"
@@ -732,8 +702,7 @@ let inject_host_windows d ~seed ~intensity ~duration =
 
 let run_chaos ~shards ~domains ~masters ~replication_factor ~clients ~items ~duration
     ~read_rate ~write_rate ~max_latency ~keepalive ~schedule_file ~intensity ~seed
-    ~invariants ~trace_out ~trace_format ~counterexample_out ~slo ~slo_out ~lineage_out
-    ~trace_capacity ~span_capacity =
+    ~invariants ~trace_out ~trace_format ~counterexample_out ~slo ~slo_out ~lineage_out =
   check_outputs ~shards ~trace_format ~metrics_out:None ~lineage_out;
   let checkers =
     match
@@ -754,7 +723,7 @@ let run_chaos ~shards ~domains ~masters ~replication_factor ~clients ~items ~dur
   let d =
     Deployment.create ~n_shards:shards ~n_masters:masters ~replication_factor
       ~n_clients:clients ~config ~seed:(Int64.of_int seed) ~items_per_shard:items ~domains
-      ?trace_capacity ?span_capacity ()
+      ()
   in
   (* Capture each shard's live stream for the checkers, exactly like the
      fuzz harness: the trace ring may overwrite old records on long
@@ -814,7 +783,7 @@ let run_chaos ~shards ~domains ~masters ~replication_factor ~clients ~items ~dur
       Printf.printf "    exclusions: [%s]\n"
         (shard_list (Corrective.excluded (System.corrective sys))))
     drivers;
-  Option.iter (finish_monitoring d ~slo_out ~lineage_out ~print_report:true) monitors;
+  Option.iter (finish_monitoring ~slo_out ~lineage_out ~print_report:true) monitors;
   write_trace ();
   (* Judge every shard against its own stream.  The run injected no
      adversarial faults and no scenario ops, so [accepted] stays empty
@@ -936,26 +905,25 @@ let chaos_cmd =
             "On violation, write seed, schedule and violation to $(docv) ('-' = stdout) so \
              the run can be replayed.")
   in
-  let slo_flag, slo_out, lineage_out, trace_capacity, span_capacity = monitoring_args in
+  let slo_flag, slo_out, lineage_out = monitoring_args in
   let term =
     Term.(
       const
         (fun masters slaves_per_master shards domains replication_factor clients items
              duration
              read_rate write_rate max_latency keepalive schedule_file intensity seed
-             invariants trace_out trace_format counterexample_out slo slo_out lineage_out
-             trace_capacity span_capacity ->
+             invariants trace_out trace_format counterexample_out slo slo_out lineage_out ->
           run_chaos ~shards ~domains ~masters
             ~replication_factor:
               (Option.value replication_factor ~default:(masters * slaves_per_master))
             ~clients ~items ~duration ~read_rate ~write_rate ~max_latency ~keepalive
             ~schedule_file ~intensity ~seed ~invariants ~trace_out ~trace_format
-            ~counterexample_out ~slo ~slo_out ~lineage_out ~trace_capacity ~span_capacity)
+            ~counterexample_out ~slo ~slo_out ~lineage_out)
       $ masters $ slaves $ shards $ domains_arg $ replication_factor_arg $ clients $ items
       $ duration
       $ read_rate $ write_rate $ max_latency $ keepalive $ schedule_file $ intensity $ seed
       $ invariants $ trace_out $ trace_format $ counterexample_out $ slo_flag $ slo_out
-      $ lineage_out $ trace_capacity $ span_capacity)
+      $ lineage_out)
   in
   Cmd.v
     (Cmd.info "chaos"

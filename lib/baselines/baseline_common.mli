@@ -9,8 +9,9 @@ type costs = {
 }
 
 val default_costs : costs
-(** Matches {!Secrep_core.Config.default} so cross-system comparisons
-    are apples-to-apples. *)
+(** The costs both baselines charge.  They match
+    {!Secrep_core.Config.default} so cross-system comparisons are
+    apples-to-apples. *)
 
 type read_metrics = {
   latency : float;

@@ -10,6 +10,8 @@ module Query_eval = Secrep_store.Query_eval
 module Query_result = Secrep_store.Query_result
 module Canonical = Secrep_store.Canonical
 
+let costs = Baseline_common.default_costs
+
 type replica = {
   store : Store.t;
   work : Work_queue.t;
@@ -22,12 +24,11 @@ type t = {
   sim : Sim.t;
   rng : Prng.t;
   f : int;
-  costs : Baseline_common.costs;
   replicas : replica array;
   mutable total_compute : float;
 }
 
-let create sim ~rng ~f ~costs ~latency () =
+let create sim ~rng ~f ~latency () =
   if f < 0 then invalid_arg "Smr_quorum.create: f must be non-negative";
   Latency.validate latency;
   let n = (3 * f) + 1 in
@@ -45,7 +46,7 @@ let create sim ~rng ~f ~costs ~latency () =
           byzantine = false;
         })
   in
-  { sim; rng; f; costs; replicas; total_compute = 0.0 }
+  { sim; rng; f; replicas; total_compute = 0.0 }
 
 let n_replicas t = Array.length t.replicas
 let quorum_size t = (2 * t.f) + 1
@@ -63,9 +64,9 @@ let set_byzantine t ~count =
     invalid_arg "Smr_quorum.set_byzantine: bad count";
   Array.iteri (fun i r -> r.byzantine <- i < count) t.replicas
 
-let exec_cost t query scanned =
+let exec_cost query scanned =
   Query_eval.cost_seconds ~scanned ~cost_class:(Query.cost_class query)
-    ~per_doc:t.costs.Baseline_common.per_doc_cost
+    ~per_doc:costs.Baseline_common.per_doc_cost
 
 (* Majority digest among replies; [None] when no value reaches f+1. *)
 let majority t replies =
@@ -109,7 +110,7 @@ let read t query ~on_done =
                   })
         | Ok { result; scanned } ->
           let cost =
-            exec_cost t query scanned +. t.costs.Baseline_common.signature_cost
+            exec_cost query scanned +. costs.Baseline_common.signature_cost
           in
           compute := !compute +. cost;
           t.total_compute <- t.total_compute +. cost;
@@ -155,7 +156,7 @@ let write t op ~on_done =
       Link.send r.to_replica (fun () ->
           Link.send r.to_replica (fun () ->
               Link.send r.to_replica (fun () ->
-                  let cost = 1e-3 +. t.costs.Baseline_common.signature_cost in
+                  let cost = 1e-3 +. costs.Baseline_common.signature_cost in
                   t.total_compute <- t.total_compute +. cost;
                   Work_queue.submit r.work ~cost (fun () ->
                       Store.apply r.store op;

@@ -15,7 +15,6 @@ val create :
   Secrep_sim.Sim.t ->
   rng:Secrep_crypto.Prng.t ->
   f:int ->
-  costs:Baseline_common.costs ->
   latency:Secrep_sim.Latency.t ->
   unit ->
   t

@@ -10,9 +10,10 @@ module Query = Secrep_store.Query
 module Query_eval = Secrep_store.Query_eval
 module Codec = Secrep_store.Codec
 
+let costs = Baseline_common.default_costs
+
 type t = {
   sim : Sim.t;
-  costs : Baseline_common.costs;
   signer : Sig_scheme.keypair;
   store : Store.t; (* the untrusted storage contents *)
   trusted : Work_queue.t; (* the trusted host's CPU *)
@@ -51,11 +52,10 @@ let rebuild t =
            (Store.version t.store))
   end
 
-let create sim ~rng ~costs ~storage_latency ~trusted_latency ~signer () =
+let create sim ~rng ~storage_latency ~trusted_latency ~signer () =
   let t =
     {
       sim;
-      costs;
       signer;
       store = Store.create ();
       trusted = Work_queue.create sim ();
@@ -102,8 +102,8 @@ let write t op ~on_done =
   let n = max 1 (Store.key_count t.store) in
   let path_hashes = int_of_float (ceil (log (float_of_int n) /. log 2.0)) + 1 in
   let cost =
-    (float_of_int path_hashes *. t.costs.Baseline_common.hash_cost)
-    +. t.costs.Baseline_common.signature_cost
+    (float_of_int path_hashes *. costs.Baseline_common.hash_cost)
+    +. costs.Baseline_common.signature_cost
   in
   rebuild t;
   Work_queue.submit t.trusted ~cost (fun () -> on_done (Sim.now t.sim -. start))
@@ -144,8 +144,8 @@ let point_read t key ~on_done =
             let proof = Merkle.prove tree idx in
             let verify_cost =
               (float_of_int (Merkle.proof_length proof + 1)
-              *. t.costs.Baseline_common.hash_cost)
-              +. t.costs.Baseline_common.verify_cost
+              *. costs.Baseline_common.hash_cost)
+              +. costs.Baseline_common.verify_cost
             in
             let authentic = Merkle.verify ~root:(Merkle.root tree) ~leaf:block proof in
             on_done
@@ -191,13 +191,13 @@ let dynamic_read t query ~on_done =
                 let n = max 1 (Store.key_count t.store) in
                 let path = int_of_float (ceil (log (float_of_int n) /. log 2.0)) + 1 in
                 let verify_all =
-                  float_of_int (scanned * path) *. t.costs.Baseline_common.hash_cost
+                  float_of_int (scanned * path) *. costs.Baseline_common.hash_cost
                 in
                 let exec =
                   Query_eval.cost_seconds ~scanned ~cost_class:(Query.cost_class query)
-                    ~per_doc:t.costs.Baseline_common.per_doc_cost
+                    ~per_doc:costs.Baseline_common.per_doc_cost
                 in
-                let cost = verify_all +. exec +. t.costs.Baseline_common.verify_cost in
+                let cost = verify_all +. exec +. costs.Baseline_common.verify_cost in
                 Work_queue.submit t.trusted ~cost (fun () ->
                     Link.send t.from_trusted (fun () ->
                         on_done

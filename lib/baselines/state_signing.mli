@@ -15,7 +15,6 @@ type t
 val create :
   Secrep_sim.Sim.t ->
   rng:Secrep_crypto.Prng.t ->
-  costs:Baseline_common.costs ->
   storage_latency:Secrep_sim.Latency.t ->
   trusted_latency:Secrep_sim.Latency.t ->
   signer:Secrep_crypto.Sig_scheme.keypair ->

@@ -14,17 +14,3 @@ type 'a t =
   | State_reply of { view : int; replier : int; highest_seq : int }
   | New_view of { view : int; sequencer : int; next_seq : int }
   | Take_over of { view : int }
-
-let describe = function
-  | Request { origin; req_id; _ } -> Printf.sprintf "request(%d#%d)" origin req_id
-  | Ordered { view; slot_view; seq; _ } ->
-    Printf.sprintf "ordered(v%d,sv%d,s%d)" view slot_view seq
-  | Heartbeat { view; sequencer; next_seq } ->
-    Printf.sprintf "heartbeat(v%d,seq@%d,next=%d)" view sequencer next_seq
-  | Nack { asker; from_seq; upto_seq } -> Printf.sprintf "nack(%d,%d..%d)" asker from_seq upto_seq
-  | State_request { view; asker } -> Printf.sprintf "state_request(v%d,%d)" view asker
-  | State_reply { view; replier; highest_seq } ->
-    Printf.sprintf "state_reply(v%d,%d,top=%d)" view replier highest_seq
-  | New_view { view; sequencer; next_seq } ->
-    Printf.sprintf "new_view(v%d,seq@%d,next=%d)" view sequencer next_seq
-  | Take_over { view } -> Printf.sprintf "take_over(v%d)" view

@@ -24,6 +24,3 @@ type 'a t =
   | New_view of { view : int; sequencer : int; next_seq : int }
   | Take_over of { view : int }
       (** "You are the expected next sequencer — act." *)
-
-val describe : 'a t -> string
-(** Short tag for traces. *)

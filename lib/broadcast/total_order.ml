@@ -5,15 +5,14 @@ module Trace = Secrep_sim.Trace
 module Event = Secrep_sim.Event
 module Prng = Secrep_crypto.Prng
 
-type config = {
-  heartbeat_period : float;
-  suspect_timeout : float;
-  retry_period : float;
-  state_sync_wait : float;
-}
-
-let default_config =
-  { heartbeat_period = 0.5; suspect_timeout = 2.0; retry_period = 1.0; state_sync_wait = 1.0 }
+(* Seconds.  A member suspects the sequencer after [suspect_timeout]
+   without a heartbeat, so it must exceed [heartbeat_period];
+   [retry_period] paces request retransmission and [state_sync_wait] is
+   how long a new sequencer collects state. *)
+let heartbeat_period = 0.5
+let suspect_timeout = 2.0
+let retry_period = 1.0
+let state_sync_wait = 1.0
 
 type 'a slot = { origin : int; req_id : int; payload : 'a; slot_view : int }
 
@@ -43,7 +42,6 @@ type 'a member = {
 
 type 'a t = {
   sim : Sim.t;
-  config : config;
   trace : Trace.t option;
   members : (int, 'a member) Hashtbl.t;
   ids : int list;
@@ -293,7 +291,7 @@ and sync_round t me ~view =
     else begin
       broadcast_msg t ~src:me.id (Message.State_request { view; asker = me.id });
       ignore
-        (Sim.schedule t.sim ~delay:t.config.state_sync_wait (fun () ->
+        (Sim.schedule t.sim ~delay:state_sync_wait (fun () ->
              if me.up && me.syncing && me.sync_view = view then sync_round t me ~view))
     end
   end
@@ -328,7 +326,7 @@ and finish_take_over t me ~view =
 let check_suspect t me =
   if me.up && me.sequencer <> me.id && not me.syncing then begin
     let silent_for = Sim.now t.sim -. me.last_heartbeat in
-    if silent_for > t.config.suspect_timeout then begin
+    if silent_for > suspect_timeout then begin
       me.suspect_rounds <- me.suspect_rounds + 1;
       let candidates = List.filter (fun id -> id <> me.sequencer) t.ids in
       match candidates with
@@ -363,15 +361,12 @@ let retry_tick t me =
     if top >= me.next_deliver then request_fill t me ~upto:top
   end
 
-let create sim ~rng ~members ~latency ?(loss = 0.0) ?(config = default_config)
-    ?trace:trace_buf ~deliver () =
+let create sim ~rng ~members ~latency ?(loss = 0.0) ?trace:trace_buf ~deliver () =
   if members = [] then invalid_arg "Total_order.create: no members";
   let sorted = List.sort_uniq Int.compare members in
   if List.length sorted <> List.length members then
     invalid_arg "Total_order.create: duplicate member ids";
   List.iter (fun id -> if id < 0 then invalid_arg "Total_order.create: negative id") sorted;
-  if config.suspect_timeout <= config.heartbeat_period then
-    invalid_arg "Total_order.create: suspect_timeout must exceed heartbeat_period";
   let initial_sequencer =
     match Election.sequencer ~alive:sorted with Some s -> s | None -> assert false
   in
@@ -413,24 +408,24 @@ let create sim ~rng ~members ~latency ?(loss = 0.0) ?(config = default_config)
         sorted)
     sorted;
   let t =
-    { sim; config; trace = trace_buf; members = table; ids = sorted; links; deliver }
+    { sim; trace = trace_buf; members = table; ids = sorted; links; deliver }
   in
   List.iter
     (fun id ->
       let me = member t id in
       ignore
-        (Secrep_sim.Process.periodic sim ~period:config.heartbeat_period
-           ~jitter:(config.heartbeat_period /. 10.0) ~rng:(Prng.split rng)
+        (Secrep_sim.Process.periodic sim ~period:heartbeat_period
+           ~jitter:(heartbeat_period /. 10.0) ~rng:(Prng.split rng)
            (fun () -> heartbeat_tick t me));
       ignore
-        (Secrep_sim.Process.periodic sim ~period:config.heartbeat_period
-           ~jitter:(config.heartbeat_period /. 10.0) ~rng:(Prng.split rng)
-           ~start_delay:config.suspect_timeout
+        (Secrep_sim.Process.periodic sim ~period:heartbeat_period
+           ~jitter:(heartbeat_period /. 10.0) ~rng:(Prng.split rng)
+           ~start_delay:suspect_timeout
            (fun () -> check_suspect t me));
       ignore
-        (Secrep_sim.Process.periodic sim ~period:config.retry_period
-           ~jitter:(config.retry_period /. 10.0) ~rng:(Prng.split rng)
-           ~start_delay:config.retry_period
+        (Secrep_sim.Process.periodic sim ~period:retry_period
+           ~jitter:(retry_period /. 10.0) ~rng:(Prng.split rng)
+           ~start_delay:retry_period
            (fun () -> retry_tick t me)))
     sorted;
   t

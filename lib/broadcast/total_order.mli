@@ -13,22 +13,12 @@
 
 type 'a t
 
-type config = {
-  heartbeat_period : float;
-  suspect_timeout : float;  (** must exceed [heartbeat_period] *)
-  retry_period : float;  (** request retransmission interval *)
-  state_sync_wait : float;  (** how long a new sequencer collects state *)
-}
-
-val default_config : config
-
 val create :
   Secrep_sim.Sim.t ->
   rng:Secrep_crypto.Prng.t ->
   members:int list ->
   latency:Secrep_sim.Latency.t ->
   ?loss:float ->
-  ?config:config ->
   ?trace:Secrep_sim.Trace.t ->
   deliver:(member:int -> seq:int -> 'a -> unit) ->
   unit ->

@@ -203,8 +203,7 @@ let rolling_partition ~n_slaves ~start ~interval ~outage =
       ])
   |> List.concat |> sort
 
-let random ~rng ~duration ~n_slaves ?(n_masters = 1) ?(n_clients = 0) ?(intensity = 1.0)
-    ?(byzantine = false) () =
+let random ~rng ~duration ~n_slaves ?(n_masters = 1) ?(n_clients = 0) ?(intensity = 1.0) () =
   if duration <= 0.0 then invalid_arg "Schedule.random: duration must be positive";
   if intensity < 0.0 then invalid_arg "Schedule.random: intensity must be non-negative";
   (* Every window [t, t+w] closes by this horizon so runs end healed. *)
@@ -268,24 +267,5 @@ let random ~rng ~duration ~n_slaves ?(n_masters = 1) ?(n_clients = 0) ?(intensit
     let t0, t1 = window rng in
     push { time = t0; action = Latency_spike (2.0 +. (6.0 *. Prng.float rng)) };
     push { time = t1; action = Latency_normal }
-  end;
-  (* Byzantine delivery faults, opt-in so existing seeded timelines
-     keep their draw sequence. *)
-  if byzantine then begin
-    if Prng.bernoulli rng (Float.min 1.0 (0.4 *. intensity)) then begin
-      let t0, t1 = window rng in
-      push { time = t0; action = Duplicate_burst (0.05 +. (0.25 *. Prng.float rng)) };
-      push { time = t1; action = Duplicate_normal }
-    end;
-    if Prng.bernoulli rng (Float.min 1.0 (0.4 *. intensity)) then begin
-      let t0, t1 = window rng in
-      push { time = t0; action = Reorder_burst (2 + Prng.int rng 3) };
-      push { time = t1; action = Reorder_normal }
-    end;
-    if Prng.bernoulli rng (Float.min 1.0 (0.4 *. intensity)) then begin
-      let t0, t1 = window rng in
-      push { time = t0; action = Bitflip_burst (0.02 +. (0.1 *. Prng.float rng)) };
-      push { time = t1; action = Bitflip_normal }
-    end
   end;
   sort !entries

@@ -81,7 +81,6 @@ val random :
   ?n_masters:int ->
   ?n_clients:int ->
   ?intensity:float ->
-  ?byzantine:bool ->
   unit ->
   t
 (** A seeded-random timeline of fault windows over [0, duration]:
@@ -89,10 +88,9 @@ val random :
     bursts and latency spikes, plus (with more than one master) at
     most one master partition or crash.  Every window closes by
     [0.9 *. duration] so the run ends healed.  [intensity] (default
-    1.0) scales how many windows are drawn.  [byzantine] (default
-    false) additionally draws duplicate, reorder and bit-flip windows;
-    it is opt-in so existing seeded timelines keep their exact PRNG
-    draw sequence.  Determined entirely by [rng]. *)
+    1.0) scales how many windows are drawn.  Duplicate, reorder and
+    bit-flip windows come only from a written schedule.  Determined
+    entirely by [rng]. *)
 
 val rolling_partition :
   n_slaves:int -> start:float -> interval:float -> outage:float -> t

@@ -480,8 +480,7 @@ let replay_rejection =
           else begin
             let issue_times = issue_times_of events in
             let read_timeout =
-              Secrep_core.Config.default.Secrep_core.Config.read_timeout_factor
-              *. s.Scenario.max_latency
+              Secrep_core.Config.read_timeout_factor *. s.Scenario.max_latency
             in
             List.fold_left
               (fun acc ((slave, client, request, t0) as launch) ->
@@ -543,8 +542,7 @@ let equivocation_detection =
           else begin
             let issue_times = issue_times_of events in
             let read_timeout =
-              Secrep_core.Config.default.Secrep_core.Config.read_timeout_factor
-              *. s.Scenario.max_latency
+              Secrep_core.Config.read_timeout_factor *. s.Scenario.max_latency
             in
             let flagged = accused_slaves result in
             List.fold_left

@@ -121,8 +121,7 @@ type sampled = {
   caught_by_slave : (int * int) list;
 }
 
-let run_sampled ~draws ~fraction ~adaptive ?(floor = 0.25) ~slave_public ~reexec
-    pledges =
+let run_sampled ~draws ~fraction ~adaptive ~slave_public ~reexec pledges =
   if List.length pledges > Array.length draws then
     invalid_arg "Audit_core.run_sampled: fewer draws than pledges";
   (* Offline suspicion: bumped by the conviction amount on every Caught
@@ -143,7 +142,9 @@ let run_sampled ~draws ~fraction ~adaptive ?(floor = 0.25) ~slave_public ~reexec
       let sum = Hashtbl.fold (fun _ v acc -> acc +. v) susp 0.0 in
       let mean = sum /. float_of_int (Hashtbl.length susp) in
       Float.min 1.0
-        (Float.max (floor *. fraction) (fraction *. (1.0 +. s) /. (1.0 +. mean)))
+        (Float.max
+           (Config.suspicion_floor *. fraction)
+           (fraction *. (1.0 +. s) /. (1.0 +. mean)))
     end
   in
   let audited = ref 0 in

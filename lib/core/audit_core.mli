@@ -83,7 +83,6 @@ val run_sampled :
   draws:float array ->
   fraction:float ->
   adaptive:bool ->
-  ?floor:float ->
   slave_public:(int -> Secrep_crypto.Sig_scheme.public option) ->
   reexec:(version:int -> Secrep_store.Query.t -> string option) ->
   Pledge.t list ->
@@ -95,7 +94,8 @@ val run_sampled :
     deterministic per seed.  With [adaptive = false], [p_i] is always
     [fraction]; with [adaptive = true], [p_i] is the live auditor's
     suspicion-weighted probability
-    [clamp (fraction * (1+s_i) / (1+mean_s), floor*fraction, 1.0)],
+    [clamp (fraction * (1+s_i) / (1+mean_s), floor*fraction, 1.0)]
+    with [floor = ]{!Config.suspicion_floor},
     where suspicion is bumped by the conviction amount on each [Caught]
     verdict (no decay offline).  Until the first catch both samplers
     behave identically, so the first detection index coincides; after

@@ -108,10 +108,16 @@ let suspicion_for t ~slave =
     Hashtbl.add t.suspicion slave s;
     s
 
+(* E-folding time of the suspicion decay, and how long a quarantined
+   slave stays on probation (audited at 100%) before its score is
+   re-evaluated; seconds. *)
+let suspicion_tau = 30.0
+let quarantine_duration = 30.0
+
 let decayed_score t (s : suspicion) =
   let now = Sim.now t.sim in
   if s.score = 0.0 then 0.0
-  else s.score *. exp (-.(now -. s.score_at) /. t.config.Config.suspicion_tau)
+  else s.score *. exp (-.(now -. s.score_at) /. suspicion_tau)
 
 let suspicion_score t ~slave =
   match Hashtbl.find_opt t.suspicion slave with
@@ -136,10 +142,10 @@ let note_suspicion t ~slave ~amount =
      seed event stream is untouched. *)
   if
     t.config.Config.audit_adaptive
-    && s.score >= t.config.Config.quarantine_threshold
+    && s.score >= Config.quarantine_threshold
     && now >= s.quarantined_until
   then begin
-    s.quarantined_until <- now +. t.config.Config.quarantine_duration;
+    s.quarantined_until <- now +. quarantine_duration;
     s.quarantine_count <- s.quarantine_count + 1;
     t.quarantines <- t.quarantines + 1;
     Stats.incr t.stats "auditor.quarantines";
@@ -167,7 +173,7 @@ let adaptive_probability t ~slave =
     let mean = if n = 0 then 0.0 else total /. float_of_int n in
     let mine = suspicion_score t ~slave in
     let p = base *. (1.0 +. mine) /. (1.0 +. mean) in
-    Float.min 1.0 (Float.max (t.config.Config.suspicion_floor *. base) p)
+    Float.min 1.0 (Float.max (Config.suspicion_floor *. base) p)
   end
 
 let queue_for t version =

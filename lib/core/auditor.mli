@@ -68,15 +68,12 @@ val note_suspicion : t -> slave:int -> amount:float -> unit
 (** Bump [slave]'s suspicion score (a decayed EWMA of weak misconduct
     signals: double-check mismatches, nonce rejects, late pledges).
     With [Config.audit_adaptive] a score crossing
-    [Config.quarantine_threshold] puts the slave on probation (100%
-    audit for [quarantine_duration], {e Slave_quarantined} emitted);
+    {!Config.quarantine_threshold} puts the slave on probation (100%
+    audit for 30 s, {e Slave_quarantined} emitted);
     with the flag off the score is tracked but never acted on.
     Suspicion is never grounds for exclusion — only a re-execution
     mismatch is — so honest slaves can be suspected, even quarantined,
     but never falsely accused. *)
-
-val suspicion_score : t -> slave:int -> float
-(** Current (decayed) suspicion score; 0 for unknown slaves. *)
 
 val is_quarantined : t -> slave:int -> bool
 

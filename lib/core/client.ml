@@ -109,11 +109,15 @@ let reads_issued t = t.reads_issued
 let degraded_reads t = t.degraded_served
 
 (* How long to wait for a slave before assuming it dropped the request.
-   The default factor of 2x the freshness bound is generous: an answer
-   that slow would be rejected as stale anyway (§3.1). *)
-let read_timeout t = t.config.Config.read_timeout_factor *. t.max_latency
+   A factor of 2x the freshness bound is generous: an answer that slow
+   would be rejected as stale anyway (§3.1). *)
+let read_timeout t = Config.read_timeout_factor *. t.max_latency
 
 (* -- per-slave health and circuit breakers --------------------------- *)
+
+(* Consecutive timeouts against one slave before its breaker opens and
+   reads route around it. *)
+let breaker_threshold = 3
 
 let breaker_for t slave_id =
   match Hashtbl.find_opt t.breakers slave_id with
@@ -143,7 +147,7 @@ let note_timeout t ~slave_id =
   if slave_id >= 0 then begin
     let b = breaker_for t slave_id in
     b.consecutive_timeouts <- b.consecutive_timeouts + 1;
-    if b.consecutive_timeouts >= t.config.Config.breaker_threshold then begin
+    if b.consecutive_timeouts >= breaker_threshold then begin
       if not b.is_open then begin
         Stats.incr t.stats "client.breaker_opened";
         emit t (Event.Breaker_opened { client = t.id; slave = slave_id })
@@ -167,16 +171,18 @@ let note_slave_success t ~slave_id =
 
 (* Exponential backoff with deterministic jitter: retry [n] waits in
    [[d*(1-jitter), d]] where [d = min(cap, base * factor^n)], sampled
-   from the client's seeded PRNG so runs replay exactly. *)
+   from the client's seeded PRNG so runs replay exactly; the jitter
+   de-synchronises retry storms. *)
+let retry_backoff_base = 0.05
+let retry_backoff_factor = 2.0
+let retry_jitter = 0.5
+
 let backoff_delay t ~retries =
-  let c = t.config in
   let d =
-    Float.min c.Config.retry_backoff_cap
-      (c.Config.retry_backoff_base
-      *. (c.Config.retry_backoff_factor ** float_of_int retries))
+    Float.min Config.retry_backoff_cap
+      (retry_backoff_base *. (retry_backoff_factor ** float_of_int retries))
   in
-  let j = c.Config.retry_jitter in
-  (d *. (1.0 -. j)) +. (d *. j *. Prng.float t.rng)
+  (d *. (1.0 -. retry_jitter)) +. (d *. retry_jitter *. Prng.float t.rng)
 
 let give_up t ~query ~request ~start ~retries ~double_checked ~caught =
   Stats.incr t.stats "client.reads_given_up";

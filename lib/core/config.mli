@@ -1,10 +1,14 @@
 (** System-wide protocol parameters.
 
-    Every knob the paper names is here: [max_latency] (the
-    inconsistency bound, §3), the keep-alive frequency (§3.1), the
-    double-check probability (§3.3), the auditor's lag slack and
-    verified fraction (§3.4), plus simulation cost constants that give
-    queries, signatures and verification realistic relative weight. *)
+    [t] holds every setting some caller varies: the knobs the paper
+    names — [max_latency] (the inconsistency bound, §3), the keep-alive
+    frequency (§3.1), the double-check probability (§3.3), the
+    auditor's lag slack and verified fraction (§3.4) — plus the
+    ablations and hardening switches the experiments turn, and the
+    simulation cost constants that give queries, signatures and
+    verification realistic relative weight.  Settings no caller varies
+    are constants instead: the ones two modules read are declared
+    below, and the rest live in the one module that reads them. *)
 
 type t = {
   max_latency : float;
@@ -32,7 +36,6 @@ type t = {
   per_doc_cost : float;  (** simulated seconds per document scanned *)
   signature_cost : float;  (** simulated seconds per signature made *)
   verify_cost : float;  (** simulated seconds per signature check *)
-  write_cost : float;  (** simulated seconds to apply a write op *)
   greedy_window : float;
       (** Seconds of history used for greedy-client detection. *)
   greedy_factor : float;
@@ -42,25 +45,6 @@ type t = {
       (** Minimum double-checks before a client can be suspected. *)
   read_retry_limit : int;
       (** Stale/failed read retries before a client gives up. *)
-  read_timeout_factor : float;
-      (** A read attempt times out after [read_timeout_factor *.
-          max_latency].  The factor must be >= 1: a pledge signed at
-          send time stays acceptably fresh for [max_latency] (the
-          keep-alive bound, §3.1), so 2x covers the round trip to a
-          live slave; larger values trade tail-latency tolerance for
-          slower failure detection. *)
-  retry_backoff_base : float;
-      (** First retry delay (seconds); doubles via
-          [retry_backoff_factor] up to [retry_backoff_cap]. *)
-  retry_backoff_factor : float;
-  retry_backoff_cap : float;
-  retry_jitter : float;
-      (** Fraction of the backoff delay randomised (deterministically,
-          from the client's PRNG) to de-synchronise retry storms; 0
-          disables jitter. *)
-  breaker_threshold : int;
-      (** Consecutive timeouts against one slave before the client's
-          circuit breaker opens and it routes around that slave. *)
   breaker_cooldown : float;
       (** Seconds an open breaker quarantines a slave before a
           half-open probe is allowed again. *)
@@ -92,20 +76,8 @@ type t = {
           [audit_fraction] per slave by its decayed suspicion score
           (double-check disagreements, late pledges, nonce rejects)
           while keeping the expected budget, and quarantines slaves
-          above [quarantine_threshold] (probation: 100% audit).  Off by
+          above {!quarantine_threshold} (probation: 100% audit).  Off by
           default — uniform sampling, bit-identical to the seed. *)
-  suspicion_tau : float;
-      (** E-folding time (seconds) of the suspicion EWMA decay. *)
-  suspicion_floor : float;
-      (** Lower clamp on the adaptive sampling multiplier, so a slave
-          that has never misbehaved is still audited at
-          [suspicion_floor *. audit_fraction] — no one escapes the
-          audit entirely. *)
-  quarantine_threshold : float;
-      (** Suspicion score at which a slave enters quarantine. *)
-  quarantine_duration : float;
-      (** Seconds a quarantined slave stays on probation (audited at
-          100%) before its score is re-evaluated. *)
 }
 
 val default : t
@@ -115,6 +87,23 @@ val validate : t -> (unit, string) result
     latency, probabilities outside [0,1]). *)
 
 val validate_exn : t -> t
+
+val read_timeout_factor : float
+(** A read attempt times out after [read_timeout_factor *.
+    max_latency] (2).  The factor must be >= 1: a pledge signed at send
+    time stays acceptably fresh for [max_latency] (the keep-alive
+    bound, §3.1), so 2x covers the round trip to a live slave. *)
+
+val retry_backoff_cap : float
+(** Longest retry backoff, seconds (2). *)
+
+val suspicion_floor : float
+(** Lower clamp on the adaptive sampling multiplier (0.25), so a slave
+    that has never misbehaved is still audited at [suspicion_floor *.
+    audit_fraction] — no one escapes the audit entirely. *)
+
+val quarantine_threshold : float
+(** Suspicion score at which a slave enters quarantine (3). *)
 
 val read_give_up_bound : t -> float
 (** The longest a client can spend on one read before it gives up:

@@ -48,8 +48,3 @@ let first_detection t ~slave_id =
     None t.events
 
 let count t ~discovery = List.length (List.filter (fun e -> e.discovery = discovery) t.events)
-
-let pp_event fmt e =
-  Format.fprintf fmt "[%.3f] slave %d excluded (%s), %d clients reassigned" e.time e.slave_id
-    (match e.discovery with Immediate -> "immediate" | Delayed -> "delayed")
-    e.clients_reassigned

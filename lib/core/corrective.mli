@@ -36,4 +36,3 @@ val currently_excluded : t -> int list
 val is_currently_excluded : t -> slave_id:int -> bool
 val first_detection : t -> slave_id:int -> event option
 val count : t -> discovery:discovery -> int
-val pp_event : Format.formatter -> event -> unit

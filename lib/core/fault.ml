@@ -14,19 +14,20 @@ type behavior =
   | Malicious of { probability : float; mode : lie_mode; from_time : float }
 
 type state = {
-  pressure_tau : float;
   mutable pressure : float;
   mutable pressure_at : float;
   mutable quiet_until : float;
   mutable burst_left : int;
 }
 
-let initial_state ?(pressure_tau = 30.0) () =
-  { pressure_tau; pressure = 0.0; pressure_at = 0.0; quiet_until = neg_infinity; burst_left = 0 }
+let initial_state () =
+  { pressure = 0.0; pressure_at = 0.0; quiet_until = neg_infinity; burst_left = 0 }
+
+(* E-folding time of the audit-pressure estimate, seconds. *)
+let pressure_tau = 30.0
 
 let pressure state ~now =
-  if state.pressure_tau <= 0.0 then state.pressure
-  else state.pressure *. exp (-.Float.max 0.0 (now -. state.pressure_at) /. state.pressure_tau)
+  state.pressure *. exp (-.Float.max 0.0 (now -. state.pressure_at) /. pressure_tau)
 
 let bump_pressure state ~now ~amount =
   state.pressure <- pressure state ~now +. amount;
@@ -67,12 +68,6 @@ let decide behavior ~now ~client state g =
         end
         else Pass
     end
-
-let lies behavior ~now g =
-  match behavior with
-  | Honest -> None
-  | Malicious { probability; mode; from_time } ->
-    if now >= from_time && Secrep_crypto.Prng.bernoulli g probability then Some mode else None
 
 let mode_name = function
   | Corrupt_result -> "corrupt-result"

@@ -57,12 +57,9 @@ type state
 (** Per-slave attack state for the strategic modes: audit-pressure
     EWMA, post-near-miss quiet window, remaining omission burst. *)
 
-val initial_state : ?pressure_tau:float -> unit -> state
-(** Fresh state; [pressure_tau] (default 30 s) is the e-folding time
-    of the audit-pressure estimate. *)
-
-val pressure : state -> now:float -> float
-(** Current decayed audit-pressure estimate. *)
+val initial_state : unit -> state
+(** Fresh state.  The audit-pressure estimate decays with a 30 s
+    e-folding time. *)
 
 val bump_pressure : state -> now:float -> amount:float -> unit
 (** Record an audit-pressure signal (e.g. a peer slave was excluded,
@@ -82,14 +79,9 @@ type decision =
 
 val decide :
   behavior -> now:float -> client:int -> state -> Secrep_crypto.Prng.t -> decision
-(** Stateful attack decision for one read from [client].  For the
-    legacy memoryless modes this performs exactly the same single
-    Bernoulli draw as {!lies}. *)
-
-val lies : behavior -> now:float -> Secrep_crypto.Prng.t -> lie_mode option
-(** Roll the dice: [Some mode] when this read should be answered
-    dishonestly.  Memoryless legacy entry point; {!decide} supersedes
-    it for the strategic modes. *)
+(** Stateful attack decision for one read from [client].  Before
+    [from_time] it is [Pass] without a draw; after it the memoryless
+    modes make one Bernoulli draw with the behaviour's probability. *)
 
 val mode_name : lie_mode -> string
 

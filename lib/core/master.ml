@@ -170,6 +170,9 @@ let bootstrap t ~preapplied entries =
 
 (* -- writes -------------------------------------------------------- *)
 
+(* Simulated seconds to apply one committed write op. *)
+let write_cost = 1e-3
+
 let handle_write t ~client ~op ~reply =
   if not t.alive then ()
   else begin
@@ -214,11 +217,10 @@ let on_delivered_write t ~origin ~write_id ~op =
     let now = Sim.now t.sim in
     let apply_at = Float.max now t.next_apply_at in
     t.next_apply_at <- apply_at +. t.config.Config.max_latency;
-    let cost = t.config.Config.write_cost in
     ignore
       (Sim.schedule t.sim ~delay:(apply_at -. now) (fun () ->
            if t.alive then
-             Work_queue.submit t.work ~cost (fun () ->
+             Work_queue.submit t.work ~cost:write_cost (fun () ->
                  if t.alive then apply_committed t ~origin ~write_id op)))
   end
 

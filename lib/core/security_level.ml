@@ -25,8 +25,3 @@ let executes_on_master ~base t =
      base probability of 1 still goes to the slave and is then
      double-checked — that is §3.3's mechanism, not §4's. *)
   match t with Normal -> false | Leveled _ | Sensitive -> double_check_probability ~base t >= 1.0
-
-let describe = function
-  | Normal -> "normal"
-  | Sensitive -> "sensitive"
-  | Leveled i -> Printf.sprintf "level-%d" i

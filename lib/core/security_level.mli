@@ -21,5 +21,3 @@ val double_check_probability : base:float -> t -> float
 val executes_on_master : base:float -> t -> bool
 (** True when the effective probability is 1.0 — the refinement of §4
     collapses "always double-check" into "just run it on the master". *)
-
-val describe : t -> string

@@ -149,7 +149,6 @@ let receive_update ?preapplied t ~entries ~keepalive =
   end
 
 let version t = Store.version t.store
-let latest_keepalive t = t.keepalive
 
 let is_available t ~now =
   (not t.excluded)

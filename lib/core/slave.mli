@@ -71,7 +71,6 @@ val handle_read :
     it generates. *)
 
 val version : t -> int
-val latest_keepalive : t -> Keepalive.t option
 val is_available : t -> now:float -> bool
 (** Fresh keep-alive in hand and not excluded. *)
 

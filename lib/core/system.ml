@@ -334,8 +334,8 @@ and exclude_slave t ~slave_id ~discovery =
 (* -- construction ------------------------------------------------------ *)
 
 let create ?(n_masters = 3) ?(slaves_per_master = 4) ?(n_clients = 10) ?(n_auditors = 1)
-    ?(config = Config.default) ?(net = default_net) ?(seed = 1L) ?(trace_capacity = 4096)
-    ?span_capacity ?(client_max_latency = fun (_ : int) -> None) () =
+    ?(config = Config.default) ?(net = default_net) ?(seed = 1L)
+    ?(client_max_latency = fun (_ : int) -> None) () =
   let config = Config.validate_exn config in
   if n_masters < 1 then invalid_arg "System.create: need at least one master";
   if slaves_per_master < 1 then invalid_arg "System.create: need at least one slave per master";
@@ -344,8 +344,8 @@ let create ?(n_masters = 3) ?(slaves_per_master = 4) ?(n_clients = 10) ?(n_audit
   let sim = Sim.create () in
   let rng = Prng.create ~seed in
   let stats = Stats.create () in
-  let trace = Trace.create ~capacity:trace_capacity () in
-  let spans = Span.create ?capacity:span_capacity ~stats () in
+  let trace = Trace.create () in
+  let spans = Span.create ~stats () in
   let content = Content_key.create config.Config.scheme (Prng.split rng) in
   let directory = Directory.create () in
   let n_slaves = n_masters * slaves_per_master in

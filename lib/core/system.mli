@@ -29,8 +29,6 @@ val create :
   ?config:Config.t ->
   ?net:net_profile ->
   ?seed:int64 ->
-  ?trace_capacity:int ->
-  ?span_capacity:int ->
   ?client_max_latency:(int -> float option) ->
   unit ->
   t
@@ -173,9 +171,6 @@ val set_bitflip : t -> float -> unit
     since a flip that still verified would be a forgery. *)
 
 val bitflip : t -> float
-
-val exclude_slave : t -> slave_id:int -> discovery:Corrective.discovery -> unit
-(** Normally triggered internally by proofs; exposed for tests. *)
 
 val readmit_slave : t -> slave_id:int -> (unit, string) result
 (** §3.5: bring a recovered slave back into service — wipe it, ship a

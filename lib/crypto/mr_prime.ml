@@ -37,7 +37,11 @@ let miller_rabin_witness (ctx, one_m, n1_m) d s a =
     !witness
   end
 
-let is_probable_prime ?(rounds = 24) g n =
+(* Random witnesses per test: a composite passes with probability at
+   most 4^-24. *)
+let rounds = 24
+
+let is_probable_prime g n =
   match Bignum.to_int_opt n with
   | Some v when v < 2 -> false
   | Some v when List.mem v small_primes -> true

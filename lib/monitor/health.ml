@@ -1,11 +1,4 @@
-module Trace = Secrep_sim.Trace
 module Json = Secrep_sim.Export.Json
-
-type diagnostics = {
-  trace_capacity : int option;
-  trace_total : int option;
-  trace_wrapped : bool;
-}
 
 type t = {
   alerts : Slo.alert list;
@@ -14,10 +7,9 @@ type t = {
   clients : Lineage.client_row list;
   slaves : Lineage.slave_row list;
   quarantines : Lineage.quarantine list;
-  diagnostics : diagnostics;
 }
 
-let build ?trace ~slo ~lineage () =
+let build ~slo ~lineage () =
   Lineage.finalize lineage;
   {
     alerts = Slo.alerts slo;
@@ -26,12 +18,6 @@ let build ?trace ~slo ~lineage () =
     clients = Lineage.client_rows lineage;
     slaves = Lineage.slave_rows lineage;
     quarantines = Lineage.quarantines lineage;
-    diagnostics =
-      {
-        trace_capacity = Option.map Trace.capacity trace;
-        trace_total = Option.map Trace.total_logged trace;
-        trace_wrapped = (match trace with Some tr -> Trace.wrapped tr | None -> false);
-      };
   }
 
 let healthy t = t.alerts = []
@@ -86,13 +72,6 @@ let to_json t =
                    ("until", Json.Num q.Lineage.until);
                  ])
              t.quarantines) );
-      ( "diagnostics",
-        Json.Obj
-          [
-            ("trace_capacity", opt_int t.diagnostics.trace_capacity);
-            ("trace_total", opt_int t.diagnostics.trace_total);
-            ("trace_wrapped", Json.Bool t.diagnostics.trace_wrapped);
-          ] );
     ]
 
 let pp fmt t =
@@ -141,14 +120,4 @@ let pp fmt t =
         fprintf fmt "  %-6d %8d %9d %9d %8d %12d@." c.Lineage.client c.Lineage.issued
           c.Lineage.accepted c.Lineage.degraded c.Lineage.gave_up c.Lineage.outstanding)
       t.clients
-  end;
-  fprintf fmt "@.diagnostics:@.";
-  match (t.diagnostics.trace_total, t.diagnostics.trace_capacity) with
-  | Some total, Some cap ->
-    if t.diagnostics.trace_wrapped then
-      fprintf fmt
-        "  WARNING: trace ring wrapped (%d events emitted, capacity %d) — oldest events \
-         were dropped; rerun with a larger --trace-capacity for a complete trace@."
-        total cap
-    else fprintf fmt "  trace ring: %d/%d events, no wrap@." total cap
-  | _ -> fprintf fmt "  trace ring: not attached@."
+  end

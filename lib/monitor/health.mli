@@ -1,12 +1,6 @@
 (** End-of-run health report: alerts + lineage summary + per-node
-    rows + harness diagnostics, renderable as text ({!pp}) or as the
-    machine-readable JSON the CI smoke job uploads ({!to_json}). *)
-
-type diagnostics = {
-  trace_capacity : int option;
-  trace_total : int option;
-  trace_wrapped : bool;  (** ring overwrote records; trace is partial *)
-}
+    rows, renderable as text ({!pp}) or as the machine-readable JSON
+    the CI smoke job uploads ({!to_json}). *)
 
 type t = {
   alerts : Slo.alert list;
@@ -16,15 +10,9 @@ type t = {
   slaves : Lineage.slave_row list;
   quarantines : Lineage.quarantine list;
       (** adaptive-audit probation events (not accusations) *)
-  diagnostics : diagnostics;
 }
 
-val build :
-  ?trace:Secrep_sim.Trace.t ->
-  slo:Slo.t ->
-  lineage:Lineage.t ->
-  unit ->
-  t
+val build : slo:Slo.t -> lineage:Lineage.t -> unit -> t
 (** Call after [Slo.finalize]; finalizes [lineage] itself. *)
 
 val healthy : t -> bool

@@ -48,9 +48,6 @@ val finalize : t -> unit
     mismatches) back to the requests each accused slave served,
     filling [detected_at].  Idempotent; implied by the summaries. *)
 
-val request_ids : t -> int list
-(** Issue order. *)
-
 val info : t -> int -> info option
 
 type quarantine = { time : float; slave : int; score : float; until : float }

@@ -6,21 +6,21 @@ module Config = Secrep_core.Config
 
 let eps = 1e-6
 
+(* Thresholds that do not scale with the protocol parameters. *)
+let latency_min_samples = 20 (* p99 reads before read-latency is judged *)
+let unavail_budget = 0.05 (* tolerated bad-completion fraction *)
+let burn_raise = 2.0 (* raise availability when the burn rate >= this *)
+let burn_clear = 1.0 (* clear it when the burn rate < this *)
+let avail_min_samples = 10 (* completions before the burn rate is judged *)
+let breaker_rate = 3 (* breaker opens per window before alerting *)
+
 type config = {
   max_latency : float;
-  window : float;
+  window : float;  (* rolling-window span, seconds *)
   audit_enabled : bool;
-  latency_threshold : float;
-  latency_min_samples : int;
-  unavail_budget : float;
-  burn_raise : float;
-  burn_clear : float;
-  avail_min_samples : int;
-  read_deadline : float;
-  detection_budget : float;
-  audit_deadline : float;
-  breaker_rate : int;
-  quarantine_threshold : float;
+  read_deadline : float;  (* hung-read bound, seconds after issue *)
+  detection_budget : float;  (* lie -> accusation bound *)
+  audit_deadline : float;  (* commit -> audit-advance bound *)
 }
 
 let config ?window (cfg : Config.t) =
@@ -30,12 +30,6 @@ let config ?window (cfg : Config.t) =
     max_latency = ml;
     window;
     audit_enabled = cfg.Config.audit_enabled;
-    latency_threshold = ml;
-    latency_min_samples = 20;
-    unavail_budget = 0.05;
-    burn_raise = 2.0;
-    burn_clear = 1.0;
-    avail_min_samples = 10;
     (* A read still unanswered this long after issue has outlived every
        retry, timeout and backoff the client could legally spend. *)
     read_deadline = Config.read_give_up_bound cfg +. ml;
@@ -45,8 +39,6 @@ let config ?window (cfg : Config.t) =
     (* The auditor advances past version v at commit(v+1) + ml + slack;
        grace of ml + 1 covers delivery and queued audit work. *)
     audit_deadline = (2.0 *. ml) +. cfg.Config.audit_lag_slack +. 1.0;
-    breaker_rate = 3;
-    quarantine_threshold = cfg.Config.quarantine_threshold;
   }
 
 let rule_names =
@@ -293,7 +285,7 @@ let handle t event =
   end
   | Event.Breaker_opened _ -> Rolling.record t.breaker_roll ~time:now 1.0
   | Event.Slave_quarantined { slave; score; until } ->
-    raise_alert t "quarantine" ~value:score ~threshold:cfg.quarantine_threshold
+    raise_alert t "quarantine" ~value:score ~threshold:Config.quarantine_threshold
       ~detail:
         (Printf.sprintf "slave %d on audit probation until %.3f (suspicion %.2f)" slave
            until score)
@@ -318,11 +310,11 @@ let tick t =
   Rolling.advance t.breaker_roll ~now;
   (* read-latency: rolling p99 against the freshness bound *)
   (match Rolling.percentile t.latency_roll 99.0 with
-  | Some p99 when Rolling.count t.latency_roll >= cfg.latency_min_samples ->
-    if p99 > cfg.latency_threshold then
-      raise_alert t "read-latency" ~value:p99 ~threshold:cfg.latency_threshold
+  | Some p99 when Rolling.count t.latency_roll >= latency_min_samples ->
+    if p99 > cfg.max_latency then
+      raise_alert t "read-latency" ~value:p99 ~threshold:cfg.max_latency
         ~detail:(Printf.sprintf "rolling p99 read latency %.3fs" p99)
-    else if p99 < 0.8 *. cfg.latency_threshold then clear_alert t "read-latency"
+    else if p99 < 0.8 *. cfg.max_latency then clear_alert t "read-latency"
   | _ -> if (rule t "read-latency").active <> None then clear_alert t "read-latency");
   (* availability: burn rate over completions + hung-read deadline *)
   let hung = max_overdue t.outstanding ~now ~deadline_of:(fun _ (t0, _) -> t0 +. cfg.read_deadline) in
@@ -332,21 +324,21 @@ let tick t =
       ~detail:(Printf.sprintf "read %d unanswered %.1fs past the retry budget" request over)
   | None -> ());
   let burn =
-    if Rolling.count t.avail_roll >= cfg.avail_min_samples then
+    if Rolling.count t.avail_roll >= avail_min_samples then
       match Rolling.mean t.avail_roll with
-      | Some rate -> Some (rate /. cfg.unavail_budget)
+      | Some rate -> Some (rate /. unavail_budget)
       | None -> None
     else None
   in
   (match burn with
-  | Some b when b >= cfg.burn_raise ->
-    raise_alert t "availability" ~value:b ~threshold:cfg.burn_raise
+  | Some b when b >= burn_raise ->
+    raise_alert t "availability" ~value:b ~threshold:burn_raise
       ~detail:(Printf.sprintf "unavailability burn rate %.2fx the error budget" b)
   | _ -> ());
   (match (rule t "availability").active with
   | Some _
     when hung = None
-         && (match burn with Some b -> b < cfg.burn_clear | None -> true) ->
+         && (match burn with Some b -> b < burn_clear | None -> true) ->
     clear_alert t "availability"
   | _ -> ());
   (* detection: unaccused lies past the audit budget *)
@@ -395,9 +387,9 @@ let tick t =
   | None -> if (rule t "recovery").active <> None then clear_alert t "recovery");
   (* breaker-open rate *)
   (let opens = Rolling.count t.breaker_roll in
-   if opens >= cfg.breaker_rate then
+   if opens >= breaker_rate then
      raise_alert t "breaker" ~value:(float_of_int opens)
-       ~threshold:(float_of_int cfg.breaker_rate)
+       ~threshold:(float_of_int breaker_rate)
        ~detail:(Printf.sprintf "%d breaker opens in the last %.0fs" opens cfg.window)
    else if (rule t "breaker").active <> None then clear_alert t "breaker");
   (* pulse-only rules decay once quiet *)

@@ -31,26 +31,11 @@
     [peak] instead of re-raising — burn-rate style, one alert per
     outage. *)
 
-type config = {
-  max_latency : float;
-  window : float;  (** rolling-window span, seconds *)
-  audit_enabled : bool;
-  latency_threshold : float;
-  latency_min_samples : int;
-  unavail_budget : float;  (** tolerated bad-completion fraction *)
-  burn_raise : float;  (** raise when burn rate >= this *)
-  burn_clear : float;  (** clear when burn rate < this *)
-  avail_min_samples : int;
-  read_deadline : float;  (** hung-read bound, seconds after issue *)
-  detection_budget : float;  (** lie -> accusation bound *)
-  audit_deadline : float;  (** commit -> audit-advance bound *)
-  breaker_rate : int;  (** opens per window before alerting *)
-  quarantine_threshold : float;  (** suspicion score that triggers probation *)
-}
+type config
 
 val config : ?window:float -> Secrep_core.Config.t -> config
 (** Derive thresholds from the run's protocol parameters.  [window]
-    defaults to [6 * max_latency]. *)
+    (the rolling-window span, seconds) defaults to [6 * max_latency]. *)
 
 val rule_names : string list
 

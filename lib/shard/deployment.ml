@@ -13,10 +13,9 @@
      tests pin down.
 
    - All cross-shard coupling is explicit: the shared directory (copied
-     certificates), the host pool (rendezvous placement + host-level
-     chaos that fans out to every co-located replica), and the shared
-     bounded auditor budget (the global audit queue capacity is divided
-     across per-shard auditors).
+     certificates) and the host pool (rendezvous placement + host-level
+     chaos that fans out to every co-located replica).  Each shard's
+     auditor keeps its own queue bound.
 
    Domain-parallel execution ([domains > 1]) adds a third rule: during
    a slice a shard touches only state owned by that shard — its own
@@ -97,14 +96,6 @@ let golden = 0x9E3779B97F4A7C15L
 
 let shard_seed ~seed k = Int64.add seed (Int64.mul (Int64.of_int (k + 1)) golden)
 let shard_content_seed ~seed k = Int64.add (shard_seed ~seed k) 1L
-
-(* The shared bounded auditor budget: one global queue capacity divided
-   evenly across the per-shard auditors. *)
-let shard_config ?audit_queue_total ~n_shards config =
-  match audit_queue_total with
-  | None -> config
-  | Some total ->
-    { config with Config.auditor_queue_capacity = max 1 (total / max 1 n_shards) }
 
 let all_hosts pool_size = List.init pool_size (fun h -> h)
 
@@ -193,8 +184,7 @@ let rebalance_slot t sh ~slot ~reason =
 
 let create ~n_shards ?(n_masters = 1) ?(replication_factor = 3) ?(n_clients = 2)
     ?pool_size ?(config = Config.default) ?net ?(seed = 1L) ?(items_per_shard = 0)
-    ?audit_queue_total ?(auto_rebalance = true) ?trace_capacity ?span_capacity
-    ?(domains = 0) () =
+    ?(auto_rebalance = true) ?(domains = 0) () =
   if n_shards < 1 then invalid_arg "Deployment.create: n_shards must be at least 1";
   if domains < 0 then invalid_arg "Deployment.create: domains must be non-negative";
   let slaves_per_master = max 1 (replication_factor / max 1 n_masters) in
@@ -202,11 +192,10 @@ let create ~n_shards ?(n_masters = 1) ?(replication_factor = 3) ?(n_clients = 2)
   let pool_size =
     match pool_size with Some p -> max p replication | None -> (2 * replication) + 2
   in
-  let config = shard_config ?audit_queue_total ~n_shards config in
   let provision_delay = 2.0 *. config.Config.keepalive_period in
   let slice = Float.max config.Config.keepalive_period 0.5 in
   let directory = Directory.create () in
-  let trace = Trace.create ?capacity:trace_capacity () in
+  let trace = Trace.create () in
   let by_content = Hashtbl.create n_shards in
   let outboxes = Array.init n_shards (fun _ -> { buf = []; seq = 0; merged = 0 }) in
   let t =
@@ -232,7 +221,7 @@ let create ~n_shards ?(n_masters = 1) ?(replication_factor = 3) ?(n_clients = 2)
     Array.init n_shards (fun k ->
         let system =
           System.create ~n_masters ~slaves_per_master ~n_clients ~config ?net
-            ~seed:(shard_seed ~seed k) ?trace_capacity ?span_capacity ()
+            ~seed:(shard_seed ~seed k) ()
         in
         let keys =
           if items_per_shard > 0 then begin
@@ -307,11 +296,6 @@ let hosts_of_shard t k = Array.copy t.shards.(k).hosts
 let host_is_alive t h = alive_at t ~time:t.now h
 let shard_of_content t ~content_id = Hashtbl.find_opt t.by_content content_id
 let on_event t tap = t.taps <- tap :: t.taps
-
-let audit_backlog t =
-  Array.fold_left
-    (fun acc sh -> acc + Secrep_core.Auditor.backlog (System.auditor sh.system))
-    0 t.shards
 
 (* -- the lockstep scheduler --------------------------------------------
 
@@ -429,21 +413,19 @@ let run_until t time =
     if t.domains > 1 && t.n_shards > 1 then run_parallel t time
     else run_slices_sequential t time
 
-let run_for t d = run_until t (t.now +. d)
-
 (* -- shard-aware client routing ---------------------------------------- *)
 
-let read t ~shard ~client ?level ?mode query ~on_done =
-  System.read t.shards.(shard).system ~client ?level ?mode query ~on_done
+let read t ~shard ~client query ~on_done =
+  System.read t.shards.(shard).system ~client query ~on_done
 
 let write t ~shard ~client op ~on_done =
   System.write t.shards.(shard).system ~client op ~on_done
 
-let read_content t ~content_id ~client ?level ?mode query ~on_done =
+let read_content t ~content_id ~client query ~on_done =
   match shard_of_content t ~content_id with
   | None -> Error (Printf.sprintf "unknown content id %s" content_id)
   | Some shard ->
-    read t ~shard ~client ?level ?mode query ~on_done;
+    read t ~shard ~client query ~on_done;
     Ok shard
 
 let schedule t ~shard ~time f =

@@ -7,9 +7,8 @@
     bounded scheduler.  Cross-shard coupling is explicit and
     side-effect-free for the shard streams: a shared directory holding
     every shard's master certificates, rendezvous placement of replicas
-    on pool hosts, host-level chaos that fans out to every co-located
-    replica, and a shared auditor queue budget divided across the
-    per-shard auditors.
+    on pool hosts, and host-level chaos that fans out to every
+    co-located replica.
 
     Because the deployment never perturbs a shard's PRNG or event
     schedule, a shard's event stream is bit-identical to a standalone
@@ -43,37 +42,26 @@ val create :
   ?net:Secrep_core.System.net_profile ->
   ?seed:int64 ->
   ?items_per_shard:int ->
-  ?audit_queue_total:int ->
   ?auto_rebalance:bool ->
-  ?trace_capacity:int ->
-  ?span_capacity:int ->
   ?domains:int ->
   unit ->
   t
 (** Defaults: 1 master and 3 replicas per shard, 2 clients per shard,
     pool of [2*replication + 2] hosts, seed 1.  [items_per_shard > 0]
     loads a per-shard product catalogue (seeded by
-    {!shard_content_seed}).  [audit_queue_total] divides one global
-    auditor queue capacity evenly across shards.  [auto_rebalance]
-    (default true) re-homes replicas off crashed hosts and excluded
-    slaves onto fresh pool hosts after a provisioning delay of two
-    keep-alive periods; turn it off for strict differential runs
-    against standalone systems that lack a re-homing operator.
-    [trace_capacity] and [span_capacity] size each shard's trace and
-    span rings (the deployment trace takes [trace_capacity] too).
-    [domains] (default 0) caps the worker-domain pool; 0 and 1 select
-    the sequential scheduler. *)
+    {!shard_content_seed}).  [auto_rebalance] (default true) re-homes
+    replicas off crashed hosts and excluded slaves onto fresh pool
+    hosts after a provisioning delay of two keep-alive periods; turn it
+    off for strict differential runs against standalone systems that
+    lack a re-homing operator.  [domains] (default 0) caps the
+    worker-domain pool; 0 and 1 select the sequential scheduler.  Each
+    shard's trace and span rings hold the newest 4096 records. *)
 
 (** {2 Seed derivation} — shared with the differential tests so the
     standalone reference systems can be built from identical inputs. *)
 
 val shard_seed : seed:int64 -> int -> int64
 val shard_content_seed : seed:int64 -> int -> int64
-
-val shard_config :
-  ?audit_queue_total:int -> n_shards:int -> Secrep_core.Config.t -> Secrep_core.Config.t
-(** The per-shard config actually used: the shared auditor budget
-    divided by the shard count (identity without [audit_queue_total]). *)
 
 (** {2 Accessors} *)
 
@@ -101,8 +89,6 @@ val host_is_alive : t -> int -> bool
     history, so every shard observes the same view). *)
 
 val shard_of_content : t -> content_id:string -> int option
-val audit_backlog : t -> int
-(** Aggregate backlog across every per-shard auditor. *)
 
 val on_event : t -> (shard:int -> Secrep_sim.Trace.record -> unit) -> unit
 (** Subscribe to the merged live stream: every shard event (tagged with
@@ -119,16 +105,12 @@ val run_until : t -> float -> unit
     shard — on the parallel worker pool.  Both paths produce
     byte-identical shard streams and tap delivery order. *)
 
-val run_for : t -> float -> unit
-
 (** {2 Shard-aware client routing} *)
 
 val read :
   t ->
   shard:int ->
   client:int ->
-  ?level:Secrep_core.Security_level.t ->
-  ?mode:Secrep_core.Client.read_mode ->
   Secrep_store.Query.t ->
   on_done:(Secrep_core.Client.read_report -> unit) ->
   unit
@@ -145,8 +127,6 @@ val read_content :
   t ->
   content_id:string ->
   client:int ->
-  ?level:Secrep_core.Security_level.t ->
-  ?mode:Secrep_core.Client.read_mode ->
   Secrep_store.Query.t ->
   on_done:(Secrep_core.Client.read_report -> unit) ->
   (int, string) result

@@ -114,7 +114,6 @@ val of_fields : kind:string -> (string * field) list -> (t, string) result
 (** Inverse of {!kind} + {!fields}; used by the JSONL importer. *)
 
 val dc_outcome_to_string : dc_outcome -> string
-val dc_outcome_of_string : string -> (dc_outcome, string) result
 
 val pp : Format.formatter -> t -> unit
 (** ["kind k=v k=v …"]; [Log] renders as its bare message. *)

@@ -22,6 +22,7 @@ let cancel sim handle = Event_queue.cancel sim.queue handle
 
 let pending sim = Event_queue.size sim.queue
 
+(* Execute the next event; [false] when the queue is empty. *)
 let step sim =
   match Event_queue.pop sim.queue with
   | None -> false

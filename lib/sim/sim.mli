@@ -29,9 +29,6 @@ val cancel : t -> handle -> unit
 val pending : t -> int
 (** Number of live events still queued. *)
 
-val step : t -> bool
-(** Execute the next event.  [false] when the queue is empty. *)
-
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Drain the queue.  With [until], stops once the next event would
     fire after [until] and advances the clock exactly to [until]; with

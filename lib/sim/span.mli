@@ -13,7 +13,8 @@ type t
 type record = { name : string; source : string; start : float; duration : float }
 
 val create : ?capacity:int -> ?stats:Stats.t -> unit -> t
-(** Default ring capacity: 4096 spans. *)
+(** Ring capacity defaults to 4096 spans, the size every run uses; the
+    tests pass a small one to exercise wrap-around. *)
 
 val record : t -> source:string -> start:float -> duration:float -> string -> unit
 (** Raises [Invalid_argument] on a negative or NaN duration. *)

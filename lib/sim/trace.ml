@@ -25,8 +25,6 @@ let log t ~time ~source msg = emit t ~time ~source (Event.Log msg)
 
 let size t = min t.total t.capacity
 let total_logged t = t.total
-let capacity t = t.capacity
-let wrapped t = t.total > t.capacity
 
 let to_list t =
   let n = size t in
@@ -47,11 +45,3 @@ let count_kind t ~kind = count_matching t ~f:(fun r -> String.equal (Event.kind 
 
 let kinds t =
   List.sort_uniq String.compare (List.map (fun r -> Event.kind r.event) (to_list t))
-
-let pp_tail ?(n = 20) fmt t =
-  let records = to_list t in
-  let len = List.length records in
-  let tail = if len <= n then records else List.filteri (fun i _ -> i >= len - n) records in
-  List.iter
-    (fun r -> Format.fprintf fmt "[%10.4f] %-16s %a@." r.time r.source Event.pp r.event)
-    tail

@@ -13,7 +13,8 @@ type t
 type record = { time : float; source : string; event : Event.t }
 
 val create : ?capacity:int -> unit -> t
-(** Default capacity: 4096 records. *)
+(** Capacity defaults to 4096 records, the size every run uses; the
+    tests pass a small one to exercise wrap-around. *)
 
 val emit : t -> time:float -> source:string -> Event.t -> unit
 
@@ -37,12 +38,6 @@ val size : t -> int
 val total_logged : t -> int
 (** Records ever emitted, including those the ring has overwritten. *)
 
-val capacity : t -> int
-
-val wrapped : t -> bool
-(** [total_logged t > capacity t]: the ring has overwritten records,
-    so {!to_list} is a truncated view of the run. *)
-
 val to_list : t -> record list
 (** Oldest first (of what is still retained). *)
 
@@ -57,5 +52,3 @@ val count_kind : t -> kind:string -> int
 
 val kinds : t -> string list
 (** Distinct event kinds retained, sorted. *)
-
-val pp_tail : ?n:int -> Format.formatter -> t -> unit

@@ -23,6 +23,7 @@ let create ~rng ~n_shards ?(s = 1.0) ?rotate_period () =
   | _ -> ());
   { rng; zipf = Zipf.create ~n:n_shards ~s; n_shards; rotate_period }
 
+(* The target shard for a request arriving at [now]. *)
 let shard_at t ~now =
   let rank = Zipf.sample t.zipf t.rng in
   match t.rotate_period with

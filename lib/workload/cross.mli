@@ -16,9 +16,6 @@ val create :
     uniform.  With [rotate_period], the content holding each popularity
     rank shifts by one shard every period. *)
 
-val shard_at : t -> now:float -> int
-(** Draw the target shard for a request arriving at [now]. *)
-
 val arrivals : t -> rate:float -> duration:float -> (float * int) list
 (** A full Poisson arrival schedule at [rate]/s over [duration]
     seconds: (time, shard) pairs, drawn up front so callers can

@@ -22,9 +22,7 @@ type t = {
   system : System.t;
   mix : Mix.t;
   rng : Prng.t;
-  level : Security_level.t;
   level_chooser : (unit -> Security_level.t) option;
-  mode : Client.read_mode;
   mutable reports : Client.read_report list; (* newest first *)
   latencies : Histogram.t;
   mutable next_client : int;
@@ -32,15 +30,12 @@ type t = {
   mutable immediate : int;
 }
 
-let create system ~mix ~rng ?(level = Security_level.Normal) ?level_chooser
-    ?(mode = Client.Single) () =
+let create system ~mix ~rng ?level_chooser () =
   {
     system;
     mix;
     rng;
-    level;
     level_chooser;
-    mode;
     reports = [];
     latencies = Histogram.create ~name:"driver.read_latency" ();
     next_client = 0;
@@ -52,10 +47,8 @@ let issue_read t =
   let client = t.next_client in
   t.next_client <- (t.next_client + 1) mod System.n_clients t.system;
   let query = Mix.next_query t.mix in
-  let level =
-    match t.level_chooser with Some choose -> choose () | None -> t.level
-  in
-  System.read t.system ~client ~level ~mode:t.mode query ~on_done:(fun report ->
+  let level = Option.map (fun choose -> choose ()) t.level_chooser in
+  System.read t.system ~client ?level query ~on_done:(fun report ->
       t.reports <- report :: t.reports;
       if report.Client.double_checked then t.double_checks <- t.double_checks + 1;
       (match report.Client.caught_slave with

@@ -28,12 +28,11 @@ val create :
   Secrep_core.System.t ->
   mix:Mix.t ->
   rng:Secrep_crypto.Prng.t ->
-  ?level:Secrep_core.Security_level.t ->
   ?level_chooser:(unit -> Secrep_core.Security_level.t) ->
-  ?mode:Secrep_core.Client.read_mode ->
   unit ->
   t
-(** [level_chooser] (when given) overrides [level] per read. *)
+(** [level_chooser] (when given) picks each read's security level;
+    otherwise every read is [Normal]. *)
 
 val issue_read : t -> unit
 (** Issue one read now: the next client round-robin, the next query

@@ -16,7 +16,10 @@ type t = {
   mutable next_write_seq : int;
 }
 
-let create ~rng ~keys ?(weights = default_weights) ?(zipf_s = 0.9) () =
+(* Zipf exponent of point-read key popularity. *)
+let zipf_s = 0.9
+
+let create ~rng ~keys ?(weights = default_weights) () =
   if Array.length keys = 0 then invalid_arg "Mix.create: no keys";
   let total = weights.point +. weights.range +. weights.grep +. weights.aggregate in
   if total <= 0.0 then invalid_arg "Mix.create: weights must sum to a positive value";

@@ -18,10 +18,9 @@ val create :
   rng:Secrep_crypto.Prng.t ->
   keys:string array ->
   ?weights:weights ->
-  ?zipf_s:float ->
   unit ->
   t
-(** [zipf_s] (default 0.9) skews key popularity for point reads. *)
+(** Point reads draw keys from a Zipf(0.9) popularity skew. *)
 
 val next_query : t -> Secrep_store.Query.t
 val next_write : t -> Secrep_store.Oplog.op

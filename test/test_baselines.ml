@@ -37,7 +37,7 @@ let make_smr ?(f = 1) () =
   let sim = Sim.create () in
   let rng = Prng.create ~seed:41L in
   let smr =
-    Smr_quorum.create sim ~rng ~f ~costs:Baseline_common.default_costs
+    Smr_quorum.create sim ~rng ~f
       ~latency:(Latency.Uniform { lo = 0.01; hi = 0.05 })
       ()
   in
@@ -119,7 +119,7 @@ let make_ss () =
   let rng = Prng.create ~seed:42L in
   let signer = Sig_scheme.generate Sig_scheme.Hmac_sim rng in
   let ss =
-    State_signing.create sim ~rng ~costs:Baseline_common.default_costs
+    State_signing.create sim ~rng
       ~storage_latency:(Latency.Constant 0.01) ~trusted_latency:(Latency.Constant 0.02)
       ~signer ()
   in

@@ -257,18 +257,6 @@ let test_create_validation () =
     (raises (fun () ->
          Total_order.create sim ~rng ~members:[ 1; 1 ] ~latency:(Latency.Constant 0.01)
            ~deliver:(fun ~member:_ ~seq:_ _ -> ())
-           ()));
-  check bool_t "bad config" true
-    (raises (fun () ->
-         Total_order.create sim ~rng ~members:[ 0; 1 ] ~latency:(Latency.Constant 0.01)
-           ~config:
-             {
-               Total_order.heartbeat_period = 1.0;
-               suspect_timeout = 0.5;
-               retry_period = 1.0;
-               state_sync_wait = 1.0;
-             }
-           ~deliver:(fun ~member:_ ~seq:_ _ -> ())
            ()))
 
 let prop_agreement =

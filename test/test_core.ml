@@ -628,14 +628,16 @@ let test_security_levels () =
 
 let test_fault_behavior () =
   let g = Prng.create ~seed:9L in
-  check bool_t "honest never lies" true (Fault.lies Fault.Honest ~now:5.0 g = None);
+  let decide behavior ~now = Fault.decide behavior ~now ~client:0 (Fault.initial_state ()) g in
+  check bool_t "honest never lies" true (decide Fault.Honest ~now:5.0 = Fault.Pass);
   let always =
     Fault.Malicious { probability = 1.0; mode = Fault.Corrupt_result; from_time = 10.0 }
   in
-  check bool_t "before from_time" true (Fault.lies always ~now:5.0 g = None);
-  check bool_t "after from_time" true (Fault.lies always ~now:15.0 g = Some Fault.Corrupt_result);
+  check bool_t "before from_time" true (decide always ~now:5.0 = Fault.Pass);
+  check bool_t "after from_time" true
+    (decide always ~now:15.0 = Fault.Act Fault.Corrupt_result);
   let never = Fault.Malicious { probability = 0.0; mode = Fault.Omit_result; from_time = 0.0 } in
-  check bool_t "p=0 never" true (Fault.lies never ~now:5.0 g = None)
+  check bool_t "p=0 never" true (decide never ~now:5.0 = Fault.Pass)
 
 (* ---------------- Corrective log ---------------- *)
 

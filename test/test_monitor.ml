@@ -99,7 +99,7 @@ let test_clean_run_zero_alerts () =
     (fun (p : Lineage.phase) ->
       check int_t (p.Lineage.phase ^ " counted") 40 p.Lineage.count)
     s.Lineage.critical_path;
-  let health = Health.build ~trace:(System.trace system) ~slo ~lineage () in
+  let health = Health.build ~slo ~lineage () in
   check bool_t "healthy" true (Health.healthy health);
   (* lineage JSONL: one object per request, parseable *)
   let lines = String.split_on_char '\n' (String.trim (Lineage.jsonl lineage)) in

@@ -114,18 +114,6 @@ let test_placement_spread_and_errors () =
        false
      with Invalid_argument _ -> true)
 
-(* ---------------- shared auditor budget ---------------- *)
-
-let test_shard_config_division () =
-  let base = Config.default in
-  let quarter = Deployment.shard_config ~audit_queue_total:1000 ~n_shards:4 base in
-  check int_t "budget divided" 250 quarter.Config.auditor_queue_capacity;
-  let identity = Deployment.shard_config ~n_shards:4 base in
-  check int_t "no total = untouched capacity" base.Config.auditor_queue_capacity
-    identity.Config.auditor_queue_capacity;
-  let floor = Deployment.shard_config ~audit_queue_total:2 ~n_shards:8 base in
-  check int_t "divided budget floors at 1" 1 floor.Config.auditor_queue_capacity
-
 (* ---------------- differential: deployment vs standalone ----------------
 
    Both sides are driven by the exact same code below: [drive] only
@@ -186,11 +174,10 @@ let drive_standalone sys ~keys =
     ~keys
 
 (* the standalone reference for shard [k]: same derived seeds, same
-   per-shard config, no deployment anywhere near it *)
-let standalone ~n_shards ~seed ~items ~slaves_per_master k =
-  let config = Deployment.shard_config ~n_shards base_config in
+   config, no deployment anywhere near it *)
+let standalone ~seed ~items ~slaves_per_master k =
   let sys =
-    System.create ~n_masters:1 ~slaves_per_master ~n_clients:2 ~config
+    System.create ~n_masters:1 ~slaves_per_master ~n_clients:2 ~config:base_config
       ~net:System.lan_net
       ~seed:(Deployment.shard_seed ~seed k)
       ()
@@ -210,7 +197,7 @@ let differential ?(k = 4) ?(seed = 77L) ?(items = 6) ?(replication = 3) ?liar ~h
       ~items_per_shard:items ~auto_rebalance:false ()
   in
   let dep_streams = List.init k (fun i -> capture (Deployment.system d i)) in
-  let refs = List.init k (standalone ~n_shards:k ~seed ~items ~slaves_per_master:replication) in
+  let refs = List.init k (standalone ~seed ~items ~slaves_per_master:replication) in
   let ref_streams = List.map (fun (sys, _) -> capture sys) refs in
   (match liar with
   | None -> ()
@@ -644,7 +631,6 @@ let () =
         ] );
       ( "deployment",
         [
-          Alcotest.test_case "auditor budget division" `Quick test_shard_config_division;
           Alcotest.test_case "differential K=1 degenerate" `Quick test_differential_k1;
           Alcotest.test_case "differential K=4 honest" `Quick test_differential_k4_honest;
           Alcotest.test_case "differential K=2 with liar" `Quick test_differential_k2_liar;
