@@ -255,8 +255,7 @@ let run_simulation ~shards ~domains ~masters ~replication_factor ~clients ~items
   in
   let d =
     Deployment.create ~n_shards:shards ~n_masters:masters ~replication_factor
-      ~n_clients:clients ~config ~seed:(Int64.of_int seed) ~items_per_shard:items ~domains
-      ()
+      ~n_clients:clients ~config ~seed:(Int64.of_int seed) ~items_per_shard:items ~domains ()
   in
   (* The attack targets shard [slave mod K], with [slave] as the local
      replica index. *)
@@ -722,8 +721,7 @@ let run_chaos ~shards ~domains ~masters ~replication_factor ~clients ~items ~dur
   in
   let d =
     Deployment.create ~n_shards:shards ~n_masters:masters ~replication_factor
-      ~n_clients:clients ~config ~seed:(Int64.of_int seed) ~items_per_shard:items ~domains
-      ()
+      ~n_clients:clients ~config ~seed:(Int64.of_int seed) ~items_per_shard:items ~domains ()
   in
   (* Capture each shard's live stream for the checkers, exactly like the
      fuzz harness: the trace ring may overwrite old records on long

@@ -1,9 +1,9 @@
 (** Bounded in-memory event trace.
 
     Protocol components append {!Event.t} records; tests assert on
-    them, exporters ({!Export}) turn them into JSONL / Chrome traces,
-    and failed experiment runs dump the tail.  The buffer is a ring so
-    long simulations cannot exhaust memory.
+    them and exporters ({!Export}) turn them into JSONL / Chrome
+    traces.  The buffer is a ring so long simulations cannot exhaust
+    memory.
 
     [log] is the compatibility shim for the old string API: it wraps
     the message in {!Event.Log}. *)

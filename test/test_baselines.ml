@@ -37,9 +37,7 @@ let make_smr ?(f = 1) () =
   let sim = Sim.create () in
   let rng = Prng.create ~seed:41L in
   let smr =
-    Smr_quorum.create sim ~rng ~f
-      ~latency:(Latency.Uniform { lo = 0.01; hi = 0.05 })
-      ()
+    Smr_quorum.create sim ~rng ~f ~latency:(Latency.Uniform { lo = 0.01; hi = 0.05 }) ()
   in
   Smr_quorum.load_content smr content;
   (sim, smr)
