@@ -8,8 +8,8 @@
    else: this experiment sweeps the worker-domain count over one fixed
    K-shard deployment + workload and, for every row, recomputes the
    per-shard event stream digests and compares them to the sequential
-   baseline.  A digest mismatch fails the experiment outright; speedup
-   without determinism is worthless here.
+   baseline, along with the accepted-read count.  A mismatch fails the
+   experiment outright; speedup without determinism is worthless here.
 
    Speedup itself is hardware-gated: on a single-core container every
    domains > 1 row pays barrier overhead for nothing, so the >= 1.5x
@@ -21,11 +21,8 @@ module Deployment = Secrep_shard.Deployment
 module System = Secrep_core.System
 module Config = Secrep_core.Config
 module Fault = Secrep_core.Fault
-module Event = Secrep_sim.Event
 module Trace = Secrep_sim.Trace
 module Prng = Secrep_crypto.Prng
-module Sha1 = Secrep_crypto.Sha1
-module Hex = Secrep_crypto.Hex
 module Query = Secrep_store.Query
 module Zipf = Secrep_workload.Zipf
 
@@ -52,16 +49,6 @@ let config =
     signature_cost = 0.05;
   }
 
-let digest_of records =
-  let ctx = Sha1.init () in
-  List.iter
-    (fun (r : Trace.record) ->
-      Sha1.feed ctx
-        (Printf.sprintf "%.9f|%s|%s\n" r.Trace.time r.Trace.source
-           (Event.to_string r.Trace.event)))
-    records;
-  Hex.encode (Sha1.finalize ctx)
-
 let run_case ~k ~domains ~duration ~total_rate ~seed =
   let d =
     Deployment.create ~n_shards:k ~n_masters:1 ~replication_factor:replication
@@ -82,8 +69,10 @@ let run_case ~k ~domains ~duration ~total_rate ~seed =
       (System.trace (Deployment.system d i))
       (fun r -> streams_rev.(i) <- r :: streams_rev.(i))
   done;
-  (* Fixed offered load split evenly across shards, phase-shifted. *)
-  let accepted = ref 0 in
+  (* Fixed offered load split evenly across shards, phase-shifted.  A
+     shard's callbacks all run on the one domain that owns it, so each
+     shard counts its own accepted reads and the sum is exact. *)
+  let accepted = Array.make k 0 in
   let total = int_of_float (total_rate *. duration) / k * k in
   let per_shard = total / k in
   let spacing = duration /. float_of_int per_shard in
@@ -100,16 +89,17 @@ let run_case ~k ~domains ~duration ~total_rate ~seed =
           let query = Query.point_read keys.(Zipf.sample zipf g) in
           Deployment.read d ~shard:i ~client:(j mod 2) query ~on_done:(fun report ->
               match report.Secrep_core.Client.outcome with
-              | `Accepted _ -> incr accepted
+              | `Accepted _ -> accepted.(i) <- accepted.(i) + 1
               | `Served_by_master _ | `Gave_up -> ()))
     done
   done;
   let t0 = Unix.gettimeofday () in
   Deployment.run_until d (duration +. (10.0 *. config.Config.max_latency) +. 30.0);
   let wall = Unix.gettimeofday () -. t0 in
-  let digests = List.init k (fun i -> digest_of (List.rev streams_rev.(i))) in
+  let digests = List.init k (fun i -> Trace.digest (List.rev streams_rev.(i))) in
   let events = Array.fold_left (fun acc l -> acc + List.length l) 0 streams_rev in
-  { domains; wall; speedup = 1.0; digests; events; accepted = !accepted }
+  let accepted = Array.fold_left ( + ) 0 accepted in
+  { domains; wall; speedup = 1.0; digests; events; accepted }
 
 let run ?(quick = false) fmt =
   let k = if quick then 16 else 64 in
@@ -126,7 +116,9 @@ let run ?(quick = false) fmt =
         { o with speedup = baseline.wall /. o.wall })
       sweep
   in
-  let matches o = List.for_all2 String.equal baseline.digests o.digests in
+  let matches o =
+    List.for_all2 String.equal baseline.digests o.digests && o.accepted = baseline.accepted
+  in
   let rows =
     List.map
       (fun o ->

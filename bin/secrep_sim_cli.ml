@@ -25,50 +25,6 @@ module Prng = Secrep_crypto.Prng
 module Mix = Secrep_workload.Mix
 module Driver = Secrep_workload.Driver
 
-let strip_prefix ~prefix s =
-  let n = String.length prefix in
-  if String.length s > n && String.sub s 0 n = prefix then
-    Some (String.sub s n (String.length s - n))
-  else None
-
-let lie_mode_of_string s =
-  match s with
-  | "corrupt" -> Ok Fault.Corrupt_result
-  | "stale" -> Ok Fault.Stale_state
-  | "bad-signature" -> Ok Fault.Bad_signature
-  | "omit" -> Ok Fault.Omit_result
-  | "replay" | "replay-pledge" -> Ok Fault.Replay_pledge
-  | s -> (
-    match strip_prefix ~prefix:"collude:" s with
-    | Some tag -> Ok (Fault.Collude tag)
-    | None -> (
-      match strip_prefix ~prefix:"equivocate:" s with
-      | Some clique -> (
-        let parts = String.split_on_char ',' clique in
-        match
-          List.fold_right
-            (fun part acc ->
-              match (acc, int_of_string_opt (String.trim part)) with
-              | Some ids, Some id -> Some (id :: ids)
-              | _ -> None)
-            parts (Some [])
-        with
-        | Some (_ :: _ as clique) -> Ok (Fault.Equivocate { clique })
-        | _ -> Error (Printf.sprintf "equivocate clique %S is not a comma list of client ids" clique))
-      | None -> (
-        match strip_prefix ~prefix:"adaptive:" s with
-        | Some threshold -> (
-          match float_of_string_opt threshold with
-          | Some threshold when threshold > 0.0 -> Ok (Fault.Adaptive { threshold })
-          | _ -> Error (Printf.sprintf "adaptive threshold %S is not a positive number" threshold))
-        | None -> (
-          match strip_prefix ~prefix:"flaky-omit:" s with
-          | Some burst -> (
-            match int_of_string_opt burst with
-            | Some burst when burst >= 1 -> Ok (Fault.Flaky_omit { burst })
-            | _ -> Error (Printf.sprintf "flaky-omit burst %S is not a positive int" burst))
-          | None -> Error (Printf.sprintf "unknown lie mode %S" s)))))
-
 (* "-" means stdout, anything else is a file path. *)
 let write_out path content =
   match path with
@@ -240,7 +196,7 @@ let monitoring_args =
 
 (* -- run ---------------------------------------------------------------- *)
 
-let run_simulation ~shards ~domains ~masters ~replication_factor ~clients ~items ~duration
+let run_simulation ~shards ~domains ~masters ~slaves_per_master ~clients ~items ~duration
     ~read_rate ~write_rate ~config ~malicious ~lie_prob ~lie_mode ~lie_from ~seed ~csv
     ~trace_out ~trace_format ~metrics_out ~slo ~slo_out ~lineage_out =
   (* Reject bad flags before spending time on the simulation. *)
@@ -248,14 +204,15 @@ let run_simulation ~shards ~domains ~masters ~replication_factor ~clients ~items
   let attack =
     Option.map
       (fun slave ->
-        match lie_mode_of_string lie_mode with
+        match Fault.mode_of_string lie_mode with
         | Ok mode -> (slave, mode)
         | Error msg -> usage_error msg)
       malicious
   in
   let d =
-    Deployment.create ~n_shards:shards ~n_masters:masters ~replication_factor
-      ~n_clients:clients ~config ~seed:(Int64.of_int seed) ~items_per_shard:items ~domains ()
+    Deployment.create ~n_shards:shards ~n_masters:masters
+      ~replication_factor:(masters * slaves_per_master) ~n_clients:clients ~config
+      ~seed:(Int64.of_int seed) ~items_per_shard:items ~domains ()
   in
   (* The attack targets shard [slave mod K], with [slave] as the local
      replica index. *)
@@ -374,13 +331,6 @@ let domains_arg =
            lockstep; >1 advances them on a parallel domain pool (with more than one \
            shard).  Both modes produce bit-identical event streams.")
 
-let replication_factor_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "replication-factor" ]
-        ~doc:"Replicas per content item (default: masters x slaves-per-master).")
-
 let run_cmd =
   let masters = Arg.(value & opt int 2 & info [ "masters" ] ~doc:"Number of master servers.") in
   let slaves =
@@ -449,7 +399,9 @@ let run_cmd =
       & info [ "lie-mode" ]
           ~doc:
             "Attack: corrupt | stale | bad-signature | omit | collude:TAG | replay | \
-             equivocate:CLIENT,... | adaptive:THRESHOLD | flaky-omit:BURST.")
+             equivocate:CLIENT,... | adaptive:THRESHOLD | flaky-omit:BURST.  The names \
+             traces print (corrupt-result, stale-state, omit-result, replay-pledge) work \
+             too.")
   in
   let lie_from =
     Arg.(value & opt float 0.0 & info [ "lie-from" ] ~doc:"Attack start time (sim seconds).")
@@ -509,9 +461,8 @@ let run_cmd =
   let term =
     Term.(
       const
-        (fun masters slaves_per_master shards domains replication_factor clients items
-             duration
-             read_rate write_rate double_check_p max_latency keepalive audit pledge_batch
+        (fun masters slaves_per_master shards domains clients items duration read_rate
+             write_rate double_check_p max_latency keepalive audit pledge_batch
              pledge_batch_window malicious lie_prob lie_mode lie_from read_nonces
              audit_adaptive seed csv trace_out trace_format metrics_out slo slo_out
              lineage_out ->
@@ -529,15 +480,11 @@ let run_cmd =
                 audit_adaptive;
               }
           in
-          run_simulation ~shards ~domains ~masters
-            ~replication_factor:
-              (Option.value replication_factor ~default:(masters * slaves_per_master))
-            ~clients ~items ~duration ~read_rate ~write_rate ~config ~malicious ~lie_prob
-            ~lie_mode ~lie_from ~seed ~csv ~trace_out ~trace_format ~metrics_out ~slo
-            ~slo_out ~lineage_out)
-      $ masters $ slaves $ shards $ domains_arg $ replication_factor_arg $ clients $ items
-      $ duration
-      $ read_rate $ write_rate $ p $ max_latency $ keepalive $ audit $ pledge_batch
+          run_simulation ~shards ~domains ~masters ~slaves_per_master ~clients ~items
+            ~duration ~read_rate ~write_rate ~config ~malicious ~lie_prob ~lie_mode ~lie_from
+            ~seed ~csv ~trace_out ~trace_format ~metrics_out ~slo ~slo_out ~lineage_out)
+      $ masters $ slaves $ shards $ domains_arg $ clients $ items $ duration $ read_rate
+      $ write_rate $ p $ max_latency $ keepalive $ audit $ pledge_batch
       $ pledge_batch_window $ malicious $ lie_prob $ lie_mode $ lie_from $ read_nonces
       $ audit_adaptive $ seed $ csv $ trace_out $ trace_format $ metrics_out $ slo_flag
       $ slo_out $ lineage_out)
@@ -699,7 +646,7 @@ let inject_host_windows d ~seed ~intensity ~duration =
       ])
     windows
 
-let run_chaos ~shards ~domains ~masters ~replication_factor ~clients ~items ~duration
+let run_chaos ~shards ~domains ~masters ~slaves_per_master ~clients ~items ~duration
     ~read_rate ~write_rate ~max_latency ~keepalive ~schedule_file ~intensity ~seed
     ~invariants ~trace_out ~trace_format ~counterexample_out ~slo ~slo_out ~lineage_out =
   check_outputs ~shards ~trace_format ~metrics_out:None ~lineage_out;
@@ -720,8 +667,9 @@ let run_chaos ~shards ~domains ~masters ~replication_factor ~clients ~items ~dur
       }
   in
   let d =
-    Deployment.create ~n_shards:shards ~n_masters:masters ~replication_factor
-      ~n_clients:clients ~config ~seed:(Int64.of_int seed) ~items_per_shard:items ~domains ()
+    Deployment.create ~n_shards:shards ~n_masters:masters
+      ~replication_factor:(masters * slaves_per_master) ~n_clients:clients ~config
+      ~seed:(Int64.of_int seed) ~items_per_shard:items ~domains ()
   in
   (* Capture each shard's live stream for the checkers, exactly like the
      fuzz harness: the trace ring may overwrite old records on long
@@ -907,19 +855,15 @@ let chaos_cmd =
   let term =
     Term.(
       const
-        (fun masters slaves_per_master shards domains replication_factor clients items
-             duration
-             read_rate write_rate max_latency keepalive schedule_file intensity seed
-             invariants trace_out trace_format counterexample_out slo slo_out lineage_out ->
-          run_chaos ~shards ~domains ~masters
-            ~replication_factor:
-              (Option.value replication_factor ~default:(masters * slaves_per_master))
-            ~clients ~items ~duration ~read_rate ~write_rate ~max_latency ~keepalive
-            ~schedule_file ~intensity ~seed ~invariants ~trace_out ~trace_format
-            ~counterexample_out ~slo ~slo_out ~lineage_out)
-      $ masters $ slaves $ shards $ domains_arg $ replication_factor_arg $ clients $ items
-      $ duration
-      $ read_rate $ write_rate $ max_latency $ keepalive $ schedule_file $ intensity $ seed
+        (fun masters slaves_per_master shards domains clients items duration read_rate
+             write_rate max_latency keepalive schedule_file intensity seed invariants
+             trace_out trace_format counterexample_out slo slo_out lineage_out ->
+          run_chaos ~shards ~domains ~masters ~slaves_per_master ~clients ~items ~duration
+            ~read_rate ~write_rate ~max_latency ~keepalive ~schedule_file ~intensity ~seed
+            ~invariants ~trace_out ~trace_format ~counterexample_out ~slo ~slo_out
+            ~lineage_out)
+      $ masters $ slaves $ shards $ domains_arg $ clients $ items $ duration $ read_rate
+      $ write_rate $ max_latency $ keepalive $ schedule_file $ intensity $ seed
       $ invariants $ trace_out $ trace_format $ counterexample_out $ slo_flag $ slo_out
       $ lineage_out)
   in
@@ -961,7 +905,7 @@ type campaign_row = {
 
 let campaign_one ~mode ~masters ~slaves_per_master ~clients ~items ~duration ~read_rate
     ~write_rate ~lie_prob ~read_nonces ~audit_adaptive ~seed =
-  match lie_mode_of_string mode with
+  match Fault.mode_of_string mode with
   | Error msg ->
     Printf.eprintf "%s\n" msg;
     exit 2
@@ -1016,11 +960,10 @@ let campaign_one ~mode ~masters ~slaves_per_master ~clients ~items ~duration ~re
         | Event.Attack_launched { slave; _ } when slave = liar -> incr launched
         | Event.Attack_suppressed { slave; _ } when slave = liar -> incr suppressed
         | Event.Slave_quarantined { slave; _ } when slave = liar -> incr quarantines
-        | Event.Audit_conviction { slave; _ } | Event.Slave_excluded { slave; _ } ->
-          accusations := (r.Trace.time, slave) :: !accusations
-        | Event.Double_check { slave; outcome = Event.Mismatch; _ } ->
-          accusations := (r.Trace.time, slave) :: !accusations
-        | _ -> ())
+        | event ->
+          Option.iter
+            (fun slave -> accusations := (r.Trace.time, slave) :: !accusations)
+            (Event.accused event))
       (List.rev !events_rev);
     let accused_at =
       List.fold_left
@@ -1041,37 +984,29 @@ let campaign_one ~mode ~masters ~slaves_per_master ~clients ~items ~duration ~re
     in
     let get = Stats.get stats in
     let verdict =
-      let family =
-        match String.index_opt mode ':' with
-        | Some i -> String.sub mode 0 i
-        | None -> mode
-      in
-      match family with
-      | "corrupt" | "equivocate" | "collude" ->
+      match fault_mode with
+      | Fault.Corrupt_result | Fault.Equivocate _ | Fault.Collude _ ->
         if accused_at <> None then Ok ()
         else Error "expected an accusation (conviction / exclusion / DC mismatch)"
-      | "stale" ->
+      | Fault.Stale_state ->
         if get "client.stale_rejections" > 0 || accused_at <> None then Ok ()
         else Error "expected the freshness check to reject stale pledges"
-      | "bad-signature" ->
+      | Fault.Bad_signature ->
         if get "client.pledge_rejected" > 0 then Ok ()
         else Error "expected pledge signature rejections"
-      | "omit" | "flaky-omit" ->
+      | Fault.Omit_result | Fault.Flaky_omit _ ->
         if get "client.read_timeouts" > 0 then Ok ()
         else Error "expected omission to surface as read timeouts"
-      | "replay" | "replay-pledge" ->
+      | Fault.Replay_pledge ->
         if not read_nonces then Ok () (* defense off: nothing to assert *)
         else if get "client.nonce_rejections" = 0 then
           Error "expected the nonce check to reject replayed pledges"
         else if audit_adaptive && !quarantines = 0 then
           Error "expected the adaptive auditor to quarantine the replaying slave"
         else Ok ()
-      | "adaptive" ->
+      | Fault.Adaptive _ ->
         if !launched = 0 || accused_at <> None || !quarantines > 0 then Ok ()
         else Error "expected the adaptive liar to be suppressed, quarantined or convicted"
-      | _ ->
-        if accused_at <> None then Ok ()
-        else Error "expected an accusation of the malicious slave"
     in
     {
       c_mode = mode;
@@ -1115,7 +1050,7 @@ let run_campaign ~masters ~slaves_per_master ~clients ~items ~duration ~read_rat
   (* Reject an unknown mode before spending time on any simulation. *)
   List.iter
     (fun m ->
-      match lie_mode_of_string m with
+      match Fault.mode_of_string m with
       | Ok _ -> ()
       | Error msg ->
         Printf.eprintf "%s\n" msg;

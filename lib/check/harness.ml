@@ -4,9 +4,6 @@ module Fault = Secrep_core.Fault
 module Deployment = Secrep_shard.Deployment
 module Sim = Secrep_sim.Sim
 module Trace = Secrep_sim.Trace
-module Event = Secrep_sim.Event
-module Sha1 = Secrep_crypto.Sha1
-module Hex = Secrep_crypto.Hex
 module Query = Secrep_store.Query
 module Oplog = Secrep_store.Oplog
 module Value = Secrep_store.Value
@@ -232,12 +229,4 @@ let run ?domains scenario =
       in
       judge ~shard:i scenario_i (List.rev accepted_rev.(i)))
 
-let events_digest result =
-  let ctx = Sha1.init () in
-  List.iter
-    (fun (r : Trace.record) ->
-      Sha1.feed ctx
-        (Printf.sprintf "%.9f|%s|%s\n" r.Trace.time r.Trace.source
-           (Event.to_string r.Trace.event)))
-    result.events;
-  Hex.encode (Sha1.finalize ctx)
+let events_digest result = Trace.digest result.events

@@ -61,6 +61,5 @@ val capture :
     so does the CLI's [chaos] command for runs it drives itself. *)
 
 val events_digest : run_result -> string
-(** SHA-1 over the rendered event stream (time, source, event); equal
-    digests mean equal streams.  Used by the determinism tests and the
-    replay documentation. *)
+(** {!Secrep_sim.Trace.digest} of the captured stream.  Used by the
+    determinism tests and the replay documentation. *)

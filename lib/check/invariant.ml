@@ -1,5 +1,6 @@
 module Trace = Secrep_sim.Trace
 module Event = Secrep_sim.Event
+module System = Secrep_core.System
 
 type checker = {
   name : string;
@@ -11,16 +12,8 @@ let eps = 1e-6
 
 let events_of (r : Harness.run_result) = r.Harness.events
 
-(* Accusation events: the three ways the protocol points a finger. *)
 let accused_slaves result =
-  List.filter_map
-    (fun (rec_ : Trace.record) ->
-      match rec_.Trace.event with
-      | Event.Audit_conviction { slave; _ } | Event.Slave_excluded { slave; _ }
-      | Event.Double_check { slave; outcome = Event.Mismatch; _ } ->
-        Some slave
-      | _ -> None)
-    (events_of result)
+  List.filter_map (fun (r : Trace.record) -> Event.accused r.Trace.event) (events_of result)
 
 let detection =
   {
@@ -254,15 +247,6 @@ let availability =
 
 (* -- recovery convergence --------------------------------------------- *)
 
-(* Node names as emitted by [System.node_name]. *)
-let slave_of_node node =
-  match String.index_opt node '-' with
-  | Some i when String.sub node 0 i = "slave" -> (
-    match int_of_string_opt (String.sub node (i + 1) (String.length node - i - 1)) with
-    | Some n -> Some n
-    | None -> None)
-  | _ -> None
-
 let is_master_node node = String.length node >= 7 && String.sub node 0 7 = "master-"
 
 (* Half-open disturbance windows [a, b): a window closing exactly when a
@@ -304,7 +288,7 @@ let recovery_convergence =
               | Event.State_update_applied { slave; to_version; _ } ->
                 updates := (t, slave, to_version) :: !updates
               | Event.Node_recovered { node; version } -> (
-                match slave_of_node node with
+                match System.slave_of_node node with
                 | Some n ->
                   recoveries := (t, n, version) :: !recoveries;
                   (* a crash window for this slave closes here *)
@@ -317,7 +301,7 @@ let recovery_convergence =
               | Event.Node_crashed { node } -> (
                 if is_master_node node then master_down := (t, infinity) :: !master_down
                 else
-                  match slave_of_node node with
+                  match System.slave_of_node node with
                   | Some n -> Hashtbl.replace open_slave (`Crash n) t
                   | None -> ())
               | Event.Partition { target; up } when is_master_node target ->
@@ -330,7 +314,7 @@ let recovery_convergence =
                   | None -> ()
                 end
               | Event.Partition { target; up } -> (
-                match slave_of_node target with
+                match System.slave_of_node target with
                 | Some n ->
                   if not up then Hashtbl.replace open_slave (`Cut n) t
                   else begin

@@ -375,24 +375,12 @@ let net_to_string = function
   | Wan -> "wan"
   | Lossy p -> Printf.sprintf "lossy(%.2g)" p
 
-let mode_to_string = function
-  | Fault.Corrupt_result -> "corrupt"
-  | Fault.Collude tag -> Printf.sprintf "collude:%s" tag
-  | Fault.Stale_state -> "stale"
-  | Fault.Bad_signature -> "bad-signature"
-  | Fault.Omit_result -> "omit"
-  | Fault.Replay_pledge -> "replay"
-  | Fault.Equivocate { clique } ->
-    Printf.sprintf "equivocate:[%s]" (String.concat "," (List.map string_of_int clique))
-  | Fault.Adaptive { threshold } -> Printf.sprintf "adaptive:%.2g" threshold
-  | Fault.Flaky_omit { burst } -> Printf.sprintf "flaky-omit:%d" burst
-
 let pp_op fmt = function
   | Read { client; key; at } -> Format.fprintf fmt "read(c%d, k%d, t=%.2f)" client key at
   | Write { client; key; at } -> Format.fprintf fmt "write(c%d, k%d, t=%.2f)" client key at
 
 let pp_fault fmt f =
-  Format.fprintf fmt "slave %d: %s p=%.2g from t=%.2f" f.slave (mode_to_string f.mode)
+  Format.fprintf fmt "slave %d: %s p=%.2g from t=%.2f" f.slave (Fault.mode_name f.mode)
     f.probability f.from_time
 
 let pp_chaos fmt = function

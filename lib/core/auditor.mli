@@ -42,9 +42,6 @@ val on_committed_write :
   t -> entry:Secrep_store.Oplog.entry -> commit_time:float -> unit
 (** Feed from the masters' commit pipeline. *)
 
-val audit_version : t -> int
-(** Version the auditor is currently verifying reads for. *)
-
 val backlog : t -> int
 (** Pledges queued and not yet verified. *)
 

@@ -103,10 +103,6 @@ val create :
 
 val id : t -> int
 
-val request_id_stride : int
-(** Request ids are [client_id * request_id_stride + seq] (seq is
-    1-based), so tooling can decode the issuing client from a bare id. *)
-
 val read :
   t ->
   ?level:Security_level.t ->

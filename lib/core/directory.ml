@@ -13,17 +13,9 @@ let bucket t content_id =
 let publish t (cert : Certificate.t) =
   Hashtbl.replace (bucket t cert.content_id) cert.master_id cert
 
-let withdraw t ~content_id ~master_id =
-  match Hashtbl.find_opt t.table content_id with
-  | Some b -> Hashtbl.remove b master_id
-  | None -> ()
-
 let lookup t ~content_id =
   match Hashtbl.find_opt t.table content_id with
   | None -> []
   | Some b ->
     Hashtbl.fold (fun _ cert acc -> cert :: acc) b []
     |> List.sort (fun (a : Certificate.t) b -> Int.compare a.master_id b.master_id)
-
-let content_ids t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.table [] |> List.sort String.compare

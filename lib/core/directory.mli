@@ -10,9 +10,5 @@ val create : unit -> t
 val publish : t -> Certificate.t -> unit
 (** Re-publishing a (content, master) pair replaces the old entry. *)
 
-val withdraw : t -> content_id:string -> master_id:int -> unit
-
 val lookup : t -> content_id:string -> Certificate.t list
 (** Sorted by master id; empty when unknown. *)
-
-val content_ids : t -> string list

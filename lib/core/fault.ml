@@ -81,6 +81,38 @@ let mode_name = function
   | Adaptive { threshold } -> Printf.sprintf "adaptive:%.3g" threshold
   | Flaky_omit { burst } -> Printf.sprintf "flaky-omit:%d" burst
 
+let mode_of_string s =
+  let unknown () = Error (Printf.sprintf "unknown lie mode %S" s) in
+  match s with
+  | "corrupt" | "corrupt-result" -> Ok Corrupt_result
+  | "stale" | "stale-state" -> Ok Stale_state
+  | "bad-signature" -> Ok Bad_signature
+  | "omit" | "omit-result" -> Ok Omit_result
+  | "replay" | "replay-pledge" -> Ok Replay_pledge
+  | _ -> (
+    match String.index_opt s ':' with
+    | None -> unknown ()
+    | Some i when i = String.length s - 1 -> unknown ()
+    | Some i -> (
+      let arg = String.sub s (i + 1) (String.length s - i - 1) in
+      match String.sub s 0 i with
+      | "collude" -> Ok (Collude arg)
+      | "equivocate" ->
+        let id part = int_of_string_opt (String.trim part) in
+        let ids = List.map id (String.split_on_char ',' arg) in
+        if List.mem None ids then
+          Error (Printf.sprintf "equivocate clique %S is not a comma list of client ids" arg)
+        else Ok (Equivocate { clique = List.filter_map Fun.id ids })
+      | "adaptive" -> (
+        match float_of_string_opt arg with
+        | Some threshold when threshold > 0.0 -> Ok (Adaptive { threshold })
+        | _ -> Error (Printf.sprintf "adaptive threshold %S is not a positive number" arg))
+      | "flaky-omit" -> (
+        match int_of_string_opt arg with
+        | Some burst when burst >= 1 -> Ok (Flaky_omit { burst })
+        | _ -> Error (Printf.sprintf "flaky-omit burst %S is not a positive int" arg))
+      | _ -> unknown ()))
+
 let describe = function
   | Honest -> "honest"
   | Malicious { probability; mode; from_time } ->

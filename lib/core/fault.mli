@@ -84,5 +84,14 @@ val decide :
     modes make one Bernoulli draw with the behaviour's probability. *)
 
 val mode_name : lie_mode -> string
+(** The name traces and fuzz counterexamples print for a mode:
+    [corrupt-result], [collude:TAG], [equivocate:0,2], [adaptive:1.5],
+    [flaky-omit:3], ... *)
+
+val mode_of_string : string -> (lie_mode, string) result
+(** Inverse of {!mode_name}, which also accepts the short forms
+    [corrupt], [stale], [omit] and [replay].  The [Error] names what is
+    wrong: an unknown mode, or a clique, threshold or burst that does
+    not parse. *)
 
 val describe : behavior -> string

@@ -66,7 +66,6 @@ type t = {
   spans : Span.t;
   corrective : Corrective.t;
   content : Content_key.t;
-  directory : Directory.t;
   masters : Master.t array;
   slaves : Slave.t array;
   mutable clients : Client.t array;
@@ -103,7 +102,6 @@ let spans t = t.spans
 let corrective t = t.corrective
 let auditor t = t.auditors.(0)
 let auditors t = Array.to_list t.auditors
-let directory t = t.directory
 let content_id t = Content_key.content_id t.content
 let n_masters t = Array.length t.masters
 let n_slaves t = Array.length t.slaves
@@ -141,6 +139,11 @@ let node_name = function
   | S i -> Printf.sprintf "slave-%d" i
   | C i -> Printf.sprintf "client-%d" i
   | A -> "auditor"
+
+let slave_of_node node =
+  if String.starts_with ~prefix:"slave-" node then
+    int_of_string_opt (String.sub node 6 (String.length node - 6))
+  else None
 
 let link t a b =
   match Hashtbl.find_opt t.links (a, b) with
@@ -405,7 +408,6 @@ let create ?(n_masters = 3) ?(slaves_per_master = 4) ?(n_clients = 10) ?(n_audit
       spans;
       corrective = Corrective.create ();
       content;
-      directory;
       masters;
       slaves;
       clients = [||];
@@ -900,8 +902,6 @@ let set_latency_factor t factor =
          latency_factor = factor;
        })
 
-let latency_factor t = t.latency_factor
-
 (* -- Byzantine delivery faults ---------------------------------------- *)
 
 let set_duplicate t p =
@@ -909,8 +909,6 @@ let set_duplicate t p =
   t.duplicate_override <- p;
   Hashtbl.iter (fun _ l -> Link.set_duplicate l p) t.links;
   log t "system" "byzantine: duplicate probability %.3f" p
-
-let duplicate t = t.duplicate_override
 
 let set_reorder t ~burst ~window =
   (match burst with
@@ -922,11 +920,7 @@ let set_reorder t ~burst ~window =
   Hashtbl.iter (fun _ l -> Link.set_reorder l ~burst ~window) t.links;
   log t "system" "byzantine: reorder burst %d (window %.3fs)" burst window
 
-let reorder t = t.reorder_override
-
 let set_bitflip t p =
   if p < 0.0 || p >= 1.0 then invalid_arg "System.set_bitflip: must be in [0, 1)";
   t.bitflip <- p;
   log t "system" "byzantine: pledge bit-flip probability %.3f" p
-
-let bitflip t = t.bitflip

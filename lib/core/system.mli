@@ -58,7 +58,6 @@ val auditors : t -> Auditor.t list
 (** All auditors; with [n_auditors > 1] (§3.4's "add extra auditors")
     pledges shard across them by query digest. *)
 
-val directory : t -> Directory.t
 val content_id : t -> string
 
 val run_until : t -> float -> unit
@@ -111,7 +110,11 @@ val crash_master : t -> int -> unit
     [recover_slave] model benign fail-stop churn — no accusation is
     recorded, and recovery wipes the host and reinstates it from a
     master checkpoint.  All changes emit [Partition] /
-    [Node_crashed] / [Node_recovered] trace events. *)
+    [Node_crashed] / [Node_recovered] trace events, naming the node
+    ["master-N"], ["slave-N"], ["client-N"] or ["auditor"]. *)
+
+val slave_of_node : string -> int option
+(** The slave id in a ["slave-N"] node name; [None] for other nodes. *)
 
 val set_slave_connectivity : t -> slave_id:int -> up:bool -> unit
 (** Healing a partitioned slave emits [Node_recovered] with its
@@ -142,8 +145,6 @@ val set_latency_factor : t -> float -> unit
 (** Scale every mesh link's latency model by [factor] relative to the
     net profile (latency spikes); 1.0 restores normal. *)
 
-val latency_factor : t -> float
-
 (** {2 Byzantine delivery faults}
 
     Beyond fail-stop: message duplication, reorder bursts and payload
@@ -154,14 +155,10 @@ val set_duplicate : t -> float -> unit
 (** Probability that any mesh delivery arrives twice (applied to every
     existing and future link).  Raises outside [0, 1). *)
 
-val duplicate : t -> float
-
 val set_reorder : t -> burst:int -> window:float -> unit
 (** Hold up to [burst] (>= 2) messages per link and release them in
     reversed arrival order; a held message waits at most [window]
     seconds.  [burst = 0] disables. *)
-
-val reorder : t -> (int * float) option
 
 val set_bitflip : t -> float -> unit
 (** Probability that a read reply's pledge has one random bit flipped
@@ -169,8 +166,6 @@ val set_bitflip : t -> float -> unit
     [system.bitflips_unparsable]); parsable ones are delivered and
     must fail the client's signature check — asserted at injection,
     since a flip that still verified would be a forgery. *)
-
-val bitflip : t -> float
 
 val readmit_slave : t -> slave_id:int -> (unit, string) result
 (** §3.5: bring a recovered slave back into service — wipe it, ship a
@@ -183,13 +178,12 @@ val oracle_version : t -> int
 val check_result :
   t -> version:int -> Secrep_store.Query.t -> digest:string -> bool option
 (** Ground truth: is [digest] the correct answer for the query at
-    [version]?  [None] when tracking is off or the snapshot is
-    missing. *)
+    [version]?  [None] when the snapshot is missing. *)
 
 val reexec_digest : t -> version:int -> Secrep_store.Query.t -> string option
 (** Ground truth re-execution: the honest canonical result digest for
-    the query at [version].  [None] when tracking is off, the snapshot
-    is missing, or the query fails.  The offline audit drivers in
+    the query at [version].  [None] when the snapshot is missing or
+    the query fails.  The offline audit drivers in
     {!Audit_core} use this as their re-execution oracle. *)
 
 val on_pledge_submitted : t -> (Pledge.t -> unit) -> unit

@@ -114,4 +114,3 @@ let decode_certificate s =
       { Certificate.content_id; master_id; address; master_public; signature })
 
 let pledge_size p = String.length (encode_pledge p)
-let keepalive_size ka = String.length (encode_keepalive ka)

@@ -17,6 +17,5 @@ val encode_certificate : Certificate.t -> string
 val decode_certificate : string -> (Certificate.t, string) result
 
 val pledge_size : Pledge.t -> int
-(** Encoded size in bytes, for link bandwidth accounting. *)
-
-val keepalive_size : Keepalive.t -> int
+(** Encoded size in bytes; feeds the [system.read_reply_bytes] and
+    [system.pledge_bytes] counters. *)

@@ -255,7 +255,6 @@ let divmod (a : t) (b : t) =
   else if Array.length b = 1 then divmod_small a b.(0)
   else divmod_knuth a b
 
-let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
 let mod_exp_schoolbook ~base:b ~exp ~modulus =

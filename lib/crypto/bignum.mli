@@ -41,7 +41,6 @@ val divmod : t -> t -> t * t
     Raises [Division_by_zero] when [b] is zero.  Long division is Knuth's
     Algorithm D over 26-bit limbs. *)
 
-val div : t -> t -> t
 val rem : t -> t -> t
 
 val shift_left : t -> int -> t

@@ -34,10 +34,6 @@ let key_id = function
   | Rsa_pub key -> String.sub (Rsa.fingerprint key) 0 16
   | Hmac_pub { id; _ } -> String.sub id 0 16
 
-let scheme_of = function
-  | Rsa_key { scheme; _ } -> scheme
-  | Hmac_key _ -> Hmac_sim
-
 (* Wire format: a tag character, then length-prefixed decimal fields.
    Kept self-contained (this library sits below the store codec). *)
 let add_field buf s =

@@ -32,5 +32,4 @@ val encode_public : public -> string
 val decode_public : string -> (public, string) result
 (** Inverse of {!encode_public}; never raises on garbage. *)
 
-val scheme_of : keypair -> scheme
 val pp_public : Format.formatter -> public -> unit

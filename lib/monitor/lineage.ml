@@ -49,6 +49,7 @@ let accuse t ~time ~slave = t.accusations <- (time, slave) :: t.accusations
 let observe t (r : Trace.record) =
   if not t.finalized then begin
     let time = r.time in
+    Option.iter (fun slave -> accuse t ~time ~slave) (Event.accused r.event);
     match r.event with
     | Event.Read_issued { client; request; mode } when request >= 0 ->
       if not (Hashtbl.mem t.requests request) then begin
@@ -92,8 +93,7 @@ let observe t (r : Trace.record) =
         end
         else i.verify_failed <- i.verify_failed + 1
     end
-    | Event.Double_check { request; slave; outcome; _ } -> begin
-      (if outcome = Event.Mismatch then accuse t ~time ~slave);
+    | Event.Double_check { request; outcome; _ } -> begin
       match find t request with
       | None -> ()
       | Some i -> i.double_check <- Some (Event.dc_outcome_to_string outcome)
@@ -108,8 +108,6 @@ let observe t (r : Trace.record) =
         i.version <- version;
         i.latency <- latency
     end
-    | Event.Audit_conviction { slave; _ } -> accuse t ~time ~slave
-    | Event.Slave_excluded { slave; _ } -> accuse t ~time ~slave
     | Event.Slave_quarantined { slave; score; until } ->
       (* Probation is reversible and evidence-free, so it is NOT an
          accusation — it must never count toward detection stats. *)
@@ -139,7 +137,6 @@ let finalize t =
   end
 
 let request_ids t = List.rev t.order
-let info t request = find t request
 let quarantines t = List.rev t.quarantine_log
 
 (* -- summaries --------------------------------------------------------- *)

@@ -48,8 +48,6 @@ val finalize : t -> unit
     mismatches) back to the requests each accused slave served,
     filling [detected_at].  Idempotent; implied by the summaries. *)
 
-val info : t -> int -> info option
-
 type quarantine = { time : float; slave : int; score : float; until : float }
 
 val quarantines : t -> quarantine list

@@ -3,6 +3,7 @@ module Event = Secrep_sim.Event
 module Rolling = Secrep_sim.Rolling
 module Json = Secrep_sim.Export.Json
 module Config = Secrep_core.Config
+module System = Secrep_core.System
 
 let eps = 1e-6
 
@@ -192,10 +193,14 @@ let max_overdue tbl ~now ~deadline_of =
 let drop_through tbl version =
   Hashtbl.filter_map_inplace (fun v commit -> if v <= version then None else Some commit) tbl
 
-let slave_of_node node =
-  match String.length node > 6 && String.sub node 0 6 = "slave-" with
-  | true -> int_of_string_opt (String.sub node 6 (String.length node - 6))
-  | false -> None
+(* An accusation clears the slave's pending lie and recovery; one
+   without a recorded lie is a false accusation. *)
+let accuse t slave =
+  if not (Hashtbl.mem t.lied_ever slave) then
+    raise_alert t "false-accusation" ~value:1.0 ~threshold:0.0
+      ~detail:(Printf.sprintf "slave %d accused without a recorded lie" slave);
+  Hashtbl.remove t.liars slave;
+  Hashtbl.remove t.pending_recovery slave
 
 let handle t event =
   let cfg = t.cfg in
@@ -262,16 +267,8 @@ let handle t event =
              version (now -. commit -. cfg.max_latency))
     | _ -> ()
   end
-  | Event.Audit_conviction { slave; _ }
-  | Event.Slave_excluded { slave; _ }
-  | Event.Double_check { slave; outcome = Event.Mismatch; _ } ->
-    if not (Hashtbl.mem t.lied_ever slave) then
-      raise_alert t "false-accusation" ~value:1.0 ~threshold:0.0
-        ~detail:(Printf.sprintf "slave %d accused without a recorded lie" slave);
-    Hashtbl.remove t.liars slave;
-    Hashtbl.remove t.pending_recovery slave
   | Event.Node_recovered { node; version } -> begin
-    match slave_of_node node with
+    match System.slave_of_node node with
     | Some slave when t.committed_max > version ->
       Hashtbl.replace t.pending_recovery slave (t.committed_max, now)
     | _ -> ()
@@ -279,7 +276,7 @@ let handle t event =
   | Event.Node_crashed { node } | Event.Partition { target = node; up = false } -> begin
     (* The disturbance restarts the convergence clock; the invariant
        excuses these windows too. *)
-    match slave_of_node node with
+    match System.slave_of_node node with
     | Some slave -> Hashtbl.remove t.pending_recovery slave
     | None -> ()
   end
@@ -289,7 +286,7 @@ let handle t event =
       ~detail:
         (Printf.sprintf "slave %d on audit probation until %.3f (suspicion %.2f)" slave
            until score)
-  | _ -> ()
+  | _ -> Option.iter (accuse t) (Event.accused event)
 
 (* State_update_applied above only tracks the global max; per-slave
    convergence for the recovery rule is resolved here. *)

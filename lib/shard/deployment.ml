@@ -12,17 +12,15 @@
      the same derived seed — the property the differential sharding
      tests pin down.
 
-   - All cross-shard coupling is explicit: the shared directory (copied
-     certificates) and the host pool (rendezvous placement + host-level
-     chaos that fans out to every co-located replica).  Each shard's
-     auditor keeps its own queue bound.
+   - All cross-shard coupling is explicit: the host pool (rendezvous
+     placement + host-level chaos that fans out to every co-located
+     replica).  Each shard's auditor keeps its own queue bound.
 
    Domain-parallel execution ([domains > 1]) adds a third rule: during
    a slice a shard touches only state owned by that shard — its own
    [System.t], its own slot->host mapping, and its own pending event
-   buffer — plus read-only shared data (the chaos transition log,
-   frozen while the scheduler runs; the content routing table, frozen
-   after [create]).  Everything cross-shard (tap delivery, the
+   buffer — plus the chaos transition log, read-only while the
+   scheduler runs.  Everything cross-shard (tap delivery, the
    deployment trace, the [host_is_alive] view) happens on the
    coordinator at slice barriers, in an order derived purely from
    [(sim_time, shard, seq)] — which is why the parallel scheduler
@@ -30,7 +28,6 @@
 
 module System = Secrep_core.System
 module Config = Secrep_core.Config
-module Directory = Secrep_core.Directory
 module Fault = Secrep_core.Fault
 module Sim = Secrep_sim.Sim
 module Trace = Secrep_sim.Trace
@@ -76,11 +73,9 @@ type t = {
   slice : float;
   domains : int;
   shards : shard array;
-  directory : Directory.t;
   trace : Trace.t;  (* deployment-level placement / rebalance events *)
   mutable transitions : transition list;  (* newest call first *)
   outboxes : outbox array;
-  by_content : (string, int) Hashtbl.t;
   mutable taps : (shard:int -> Trace.record -> unit) list;
   mutable now : float;
 }
@@ -194,9 +189,7 @@ let create ~n_shards ?(n_masters = 1) ?(replication_factor = 3) ?(n_clients = 2)
   in
   let provision_delay = 2.0 *. config.Config.keepalive_period in
   let slice = Float.max config.Config.keepalive_period 0.5 in
-  let directory = Directory.create () in
   let trace = Trace.create () in
-  let by_content = Hashtbl.create n_shards in
   let outboxes = Array.init n_shards (fun _ -> { buf = []; seq = 0; merged = 0 }) in
   let t =
     {
@@ -208,11 +201,9 @@ let create ~n_shards ?(n_masters = 1) ?(replication_factor = 3) ?(n_clients = 2)
       slice;
       domains;
       shards = [||];
-      directory;
       trace;
       transitions = [];
       outboxes;
-      by_content;
       taps = [];
       now = 0.0;
     }
@@ -236,13 +227,6 @@ let create ~n_shards ?(n_masters = 1) ?(replication_factor = 3) ?(n_clients = 2)
           else [||]
         in
         let content_id = System.content_id system in
-        (* Shard-aware routing: the shared directory carries every
-           shard's master certificates, so a client can resolve any
-           content key to its master set (and verify the certs against
-           the self-certifying id). *)
-        List.iter (Directory.publish directory)
-          (Directory.lookup (System.directory system) ~content_id);
-        Hashtbl.replace by_content content_id k;
         let placed =
           Placement.assign ~content_id ~hosts:(all_hosts pool_size) ~replicas:replication
         in
@@ -285,24 +269,18 @@ let create ~n_shards ?(n_masters = 1) ?(replication_factor = 3) ?(n_clients = 2)
 let n_shards t = t.n_shards
 let replication t = t.replication
 let pool_size t = t.pool_size
-let now t = t.now
-let domains t = t.domains
-let directory t = t.directory
 let trace t = t.trace
 let system t k = t.shards.(k).system
-let content_id t k = t.shards.(k).content_id
 let keys t k = t.shards.(k).keys
 let hosts_of_shard t k = Array.copy t.shards.(k).hosts
 let host_is_alive t h = alive_at t ~time:t.now h
-let shard_of_content t ~content_id = Hashtbl.find_opt t.by_content content_id
 let on_event t tap = t.taps <- tap :: t.taps
 
 (* -- the lockstep scheduler --------------------------------------------
 
    One shared bounded scheduler advances every shard in [slice]-sized
    time windows: no shard can run ahead of its siblings by more than a
-   slice, so host-level chaos and cross-shard routing observe a
-   consistent global clock, while each shard's internal event order is
+   slice, so host-level chaos observes a consistent global clock, while each shard's internal event order is
    exactly what a standalone run would produce.
 
    Both modes run the same code per shard and flush the same outboxes
@@ -413,20 +391,13 @@ let run_until t time =
     if t.domains > 1 && t.n_shards > 1 then run_parallel t time
     else run_slices_sequential t time
 
-(* -- shard-aware client routing ---------------------------------------- *)
+(* -- client operations, routed by shard index ---------------------------- *)
 
 let read t ~shard ~client query ~on_done =
   System.read t.shards.(shard).system ~client query ~on_done
 
 let write t ~shard ~client op ~on_done =
   System.write t.shards.(shard).system ~client op ~on_done
-
-let read_content t ~content_id ~client query ~on_done =
-  match shard_of_content t ~content_id with
-  | None -> Error (Printf.sprintf "unknown content id %s" content_id)
-  | Some shard ->
-    read t ~shard ~client query ~on_done;
-    Ok shard
 
 let schedule t ~shard ~time f =
   ignore (Sim.schedule_at (System.sim t.shards.(shard).system) ~time f)

@@ -5,9 +5,8 @@
     deterministically derived seed, advanced in lockstep time slices
     (the larger of one keep-alive period and 0.5 s) by one shared
     bounded scheduler.  Cross-shard coupling is explicit and
-    side-effect-free for the shard streams: a shared directory holding
-    every shard's master certificates, rendezvous placement of replicas
-    on pool hosts, and host-level chaos that fans out to every
+    side-effect-free for the shard streams: rendezvous placement of
+    replicas on pool hosts, and host-level chaos that fans out to every
     co-located replica.
 
     Because the deployment never perturbs a shard's PRNG or event
@@ -21,9 +20,8 @@
     of OCaml domains (shard [i] is pinned to worker [i mod w], so a
     shard's whole history executes on one domain).  During a slice a
     shard touches only state it owns — its [System.t], its slot->host
-    map, its outbox — plus read-only shared data: the chaos transition
-    log (appended only between scheduler runs) and the content routing
-    table (frozen after {!create}).  At every slice barrier the
+    map, its outbox — plus the chaos transition log, which is appended
+    only between scheduler runs.  At every slice barrier the
     coordinator merges the outboxes in [(sim_time, shard, seq)] order
     — the same total order the sequential scheduler produces — so tap
     delivery, the deployment trace, and every per-shard stream are
@@ -68,27 +66,19 @@ val shard_content_seed : seed:int64 -> int -> int64
 val n_shards : t -> int
 val replication : t -> int
 val pool_size : t -> int
-val now : t -> float
-val domains : t -> int
-(** The configured worker-domain cap (0/1 = sequential). *)
-
-val directory : t -> Secrep_core.Directory.t
 val trace : t -> Secrep_sim.Trace.t
 (** Deployment-level events only (placement, rebalances, and — in
     parallel runs — [Domain_started]/[Shard_merged] window markers). *)
 
 val system : t -> int -> Secrep_core.System.t
-val content_id : t -> int -> string
 val keys : t -> int -> string array
 val hosts_of_shard : t -> int -> int array
 (** Current slot -> host mapping (a copy). *)
 
 val host_is_alive : t -> int -> bool
-(** Aliveness at the deployment clock [now], read from the chaos
+(** Aliveness at the deployment clock, read from the chaos
     transition log (a pure function of the injected crash/recover
     history, so every shard observes the same view). *)
-
-val shard_of_content : t -> content_id:string -> int option
 
 val on_event : t -> (shard:int -> Secrep_sim.Trace.record -> unit) -> unit
 (** Subscribe to the merged live stream: every shard event (tagged with
@@ -105,7 +95,7 @@ val run_until : t -> float -> unit
     shard — on the parallel worker pool.  Both paths produce
     byte-identical shard streams and tap delivery order. *)
 
-(** {2 Shard-aware client routing} *)
+(** {2 Client operations, routed by shard index} *)
 
 val read :
   t ->
@@ -122,16 +112,6 @@ val write :
   Secrep_store.Oplog.op ->
   on_done:(Secrep_core.Master.write_ack -> unit) ->
   unit
-
-val read_content :
-  t ->
-  content_id:string ->
-  client:int ->
-  Secrep_store.Query.t ->
-  on_done:(Secrep_core.Client.read_report -> unit) ->
-  (int, string) result
-(** Route by content key: resolve the self-certifying content id to its
-    shard and issue the read there.  Returns the shard that served it. *)
 
 val schedule : t -> shard:int -> time:float -> (unit -> unit) -> unit
 (** Schedule a thunk on a shard's own simulator at an absolute time. *)

@@ -60,6 +60,13 @@ let dc_outcome_to_string = function
   | Mismatch -> "mismatch"
   | Throttled -> "throttled"
 
+let accused = function
+  | Audit_conviction { slave; _ }
+  | Slave_excluded { slave; _ }
+  | Double_check { slave; outcome = Mismatch; _ } ->
+    Some slave
+  | _ -> None
+
 let dc_outcome_of_string = function
   | "passed" -> Ok Passed
   | "mismatch" -> Ok Mismatch

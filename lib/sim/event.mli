@@ -115,6 +115,13 @@ val of_fields : kind:string -> (string * field) list -> (t, string) result
 
 val dc_outcome_to_string : dc_outcome -> string
 
+val accused : t -> int option
+(** The slave an event accuses: an audit conviction, an exclusion or a
+    double-check mismatch.  A quarantine is probation, not an
+    accusation, and a passed or throttled double-check accuses no one.
+    The SLO engine, the lineage, the fuzz invariants and the attack
+    campaign all count accusations by this rule. *)
+
 val pp : Format.formatter -> t -> unit
 (** ["kind k=v k=v …"]; [Log] renders as its bare message. *)
 

@@ -31,11 +31,6 @@ val event_line :
 val jsonl_of_trace : Trace.t -> string
 (** Every retained record, oldest first, one line each. *)
 
-val jsonl_of_records : Trace.record list -> string
-(** Same rendering over an explicit record list — used for complete
-    streams captured via {!Trace.on_emit} (alerts, lineage) that may
-    exceed the ring capacity. *)
-
 val record_of_line : string -> (Trace.record, string) result
 (** Inverse of {!event_line}; used by the [trace] replay subcommand
     and the round-trip tests. *)

@@ -67,20 +67,5 @@ let percentile t p =
   let idx = if rank <= 0 then 0 else min (t.count - 1) (rank - 1) in
   t.samples.(idx)
 
-let merge a b =
-  let t = create ~name:(a.name ^ "+" ^ b.name) () in
-  for i = 0 to a.count - 1 do add t a.samples.(i) done;
-  for i = 0 to b.count - 1 do add t b.samples.(i) done;
-  t
-
 let name t = t.name
 let sum t = t.sum
-
-(* %.6f, not %.6g: fixed-precision output is locale-independent and
-   column-stable, so metrics renderings can be diffed in tests. *)
-let pp_summary fmt t =
-  if t.count = 0 then Format.fprintf fmt "%s: empty" t.name
-  else
-    Format.fprintf fmt "%s: n=%d mean=%.6f p50=%.6f p95=%.6f p99=%.6f max=%.6f" t.name
-      t.count (mean t) (percentile t 50.0) (percentile t 95.0) (percentile t 99.0)
-      (max_value t)

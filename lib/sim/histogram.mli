@@ -22,14 +22,7 @@ val percentile : t -> float -> float
     samples.  Raises [Invalid_argument] when empty or [p] out of
     range. *)
 
-val merge : t -> t -> t
-(** New histogram holding both sample sets. *)
-
 val name : t -> string
 
 val sum : t -> float
 (** Sum of all samples (0 when empty). *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** "n=… mean=… p50=… p95=… p99=… max=…", fixed precision ([%.6f]) so
-    the rendering is diffable. *)

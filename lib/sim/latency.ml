@@ -4,8 +4,6 @@ type t =
   | Constant of float
   | Uniform of { lo : float; hi : float }
   | Exponential of { mean : float; floor : float }
-  | Pareto of { scale : float; shape : float; cap : float }
-  | Empirical of float array
 
 let validate = function
   | Constant c -> if c < 0.0 then invalid_arg "Latency.Constant: negative"
@@ -13,22 +11,12 @@ let validate = function
     if lo < 0.0 || hi < lo then invalid_arg "Latency.Uniform: need 0 <= lo <= hi"
   | Exponential { mean; floor } ->
     if mean <= 0.0 || floor < 0.0 then invalid_arg "Latency.Exponential: bad parameters"
-  | Pareto { scale; shape; cap } ->
-    if scale <= 0.0 || shape <= 1.0 || cap < scale then
-      invalid_arg "Latency.Pareto: need scale > 0, shape > 1, cap >= scale"
-  | Empirical samples ->
-    if Array.length samples = 0 then invalid_arg "Latency.Empirical: no samples";
-    Array.iter (fun s -> if s < 0.0 then invalid_arg "Latency.Empirical: negative sample") samples
 
 let sample t g =
   match t with
   | Constant c -> c
   | Uniform { lo; hi } -> lo +. ((hi -. lo) *. Prng.float g)
   | Exponential { mean; floor } -> floor +. Prng.exponential g ~mean
-  | Pareto { scale; shape; cap } ->
-    let u = 1.0 -. Prng.float g in
-    Float.min cap (scale /. (u ** (1.0 /. shape)))
-  | Empirical samples -> Prng.pick g samples
 
 let scale t factor =
   if factor <= 0.0 then invalid_arg "Latency.scale: factor must be positive";
@@ -37,14 +25,3 @@ let scale t factor =
   | Uniform { lo; hi } -> Uniform { lo = lo *. factor; hi = hi *. factor }
   | Exponential { mean; floor } ->
     Exponential { mean = mean *. factor; floor = floor *. factor }
-  | Pareto { scale; shape; cap } ->
-    Pareto { scale = scale *. factor; shape; cap = cap *. factor }
-  | Empirical samples -> Empirical (Array.map (fun s -> s *. factor) samples)
-
-let mean = function
-  | Constant c -> c
-  | Uniform { lo; hi } -> (lo +. hi) /. 2.0
-  | Exponential { mean; floor } -> floor +. mean
-  | Pareto { scale; shape; cap = _ } -> scale *. shape /. (shape -. 1.0)
-  | Empirical samples ->
-    Array.fold_left ( +. ) 0.0 samples /. float_of_int (Array.length samples)

@@ -6,15 +6,9 @@ type t =
   | Exponential of { mean : float; floor : float }
       (** [floor + Exp(mean)]: a propagation floor plus queueing tail,
           the standard WAN shape. *)
-  | Pareto of { scale : float; shape : float; cap : float }
-      (** Heavy-tailed; capped so a single sample cannot stall a run. *)
-  | Empirical of float array  (** Uniform draw from measured samples. *)
 
 val sample : t -> Secrep_crypto.Prng.t -> float
 (** A non-negative delay in seconds. *)
-
-val mean : t -> float
-(** Analytic (or sample) mean, used by experiment reports. *)
 
 val scale : t -> float -> t
 (** Multiply every delay by [factor] (chaos latency spikes).  Raises
@@ -22,4 +16,4 @@ val scale : t -> float -> t
 
 val validate : t -> unit
 (** Raises [Invalid_argument] on nonsensical parameters (negative
-    bounds, [lo > hi], empty empirical set, ...). *)
+    bounds, [lo > hi], a non-positive mean). *)

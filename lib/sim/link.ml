@@ -8,7 +8,6 @@ type t = {
   name : string;
   mutable up : bool;
   mutable epoch : int; (* bumped on every down transition: in-flight messages from an older epoch are dropped on arrival *)
-  mutable bandwidth : float; (* bytes/sec; infinity = unmetered *)
   mutable delivered : int;
   mutable dropped : int;
   (* Byzantine delivery faults (off by default; the [> 0.0] guards keep
@@ -18,8 +17,6 @@ type t = {
   mutable reorder_window : float; (* max extra holding time for a buffered delivery *)
   mutable reorder_buf : (int * (unit -> unit)) list; (* newest first *)
   mutable reorder_seq : int;
-  mutable duplicated : int;
-  mutable reordered : int;
 }
 
 let create sim ~rng ~latency ?(loss = 0.0) ?(name = "link") () =
@@ -33,7 +30,6 @@ let create sim ~rng ~latency ?(loss = 0.0) ?(name = "link") () =
     name;
     up = true;
     epoch = 0;
-    bandwidth = infinity;
     delivered = 0;
     dropped = 0;
     duplicate = 0.0;
@@ -41,8 +37,6 @@ let create sim ~rng ~latency ?(loss = 0.0) ?(name = "link") () =
     reorder_window = 0.0;
     reorder_buf = [];
     reorder_seq = 0;
-    duplicated = 0;
-    reordered = 0;
   }
 
 (* Release everything held for reordering, newest arrival first — a
@@ -50,7 +44,6 @@ let create sim ~rng ~latency ?(loss = 0.0) ?(name = "link") () =
 let flush_reorder t =
   let buf = t.reorder_buf in
   t.reorder_buf <- [];
-  if List.length buf > 1 then t.reordered <- t.reordered + List.length buf;
   List.iter (fun (_, deliver) -> deliver ()) buf
 
 let arrive t deliver =
@@ -75,27 +68,17 @@ let schedule_delivery t ~delay deliver =
          if t.up && t.epoch = epoch then arrive t deliver
          else t.dropped <- t.dropped + 1))
 
-let send_sized t ~bytes_len deliver =
+let send t deliver =
   if (not t.up) || Prng.bernoulli t.rng t.loss then t.dropped <- t.dropped + 1
   else begin
-    let transfer =
-      if t.bandwidth = infinity then 0.0 else float_of_int bytes_len /. t.bandwidth
-    in
-    let delay = Latency.sample t.latency t.rng +. transfer in
-    schedule_delivery t ~delay deliver;
-    if t.duplicate > 0.0 && Prng.bernoulli t.rng t.duplicate then begin
-      t.duplicated <- t.duplicated + 1;
-      schedule_delivery t ~delay:(Latency.sample t.latency t.rng +. transfer) deliver
-    end
+    schedule_delivery t ~delay:(Latency.sample t.latency t.rng) deliver;
+    if t.duplicate > 0.0 && Prng.bernoulli t.rng t.duplicate then
+      schedule_delivery t ~delay:(Latency.sample t.latency t.rng) deliver
   end
-
-let send t deliver = send_sized t ~bytes_len:0 deliver
 
 let set_up t up =
   if t.up && not up then t.epoch <- t.epoch + 1;
   t.up <- up
-
-let is_up t = t.up
 
 let set_loss t loss =
   if loss < 0.0 || loss >= 1.0 then invalid_arg "Link.set_loss: loss must be in [0, 1)";
@@ -108,10 +91,6 @@ let set_latency t latency =
   t.latency <- latency
 
 let latency t = t.latency
-
-let set_bandwidth t ~bytes_per_sec =
-  if bytes_per_sec <= 0.0 then invalid_arg "Link.set_bandwidth: must be positive";
-  t.bandwidth <- bytes_per_sec
 
 let set_duplicate t p =
   if p < 0.0 || p >= 1.0 then invalid_arg "Link.set_duplicate: must be in [0, 1)";
@@ -129,9 +108,6 @@ let set_reorder t ~burst ~window =
   t.reorder_burst <- burst;
   t.reorder_window <- window
 
-let reorder_burst t = t.reorder_burst
-let duplicated t = t.duplicated
-let reordered t = t.reordered
 let delivered t = t.delivered
 let dropped t = t.dropped
 let name t = t.name

@@ -20,12 +20,7 @@ val send : t -> (unit -> unit) -> unit
 (** Schedule the delivery thunk after a sampled delay, unless the link
     is down or the message is (probabilistically) lost. *)
 
-val send_sized : t -> bytes_len:int -> (unit -> unit) -> unit
-(** Like {!send} but additionally charges serialisation time
-    proportional to the payload size (see {!set_bandwidth}). *)
-
 val set_up : t -> bool -> unit
-val is_up : t -> bool
 
 val set_loss : t -> float -> unit
 (** Replace the per-message loss probability (chaos loss bursts).
@@ -38,9 +33,6 @@ val set_latency : t -> Latency.t -> unit
     in flight keep their sampled delay. *)
 
 val latency : t -> Latency.t
-
-val set_bandwidth : t -> bytes_per_sec:float -> unit
-(** Default: infinite (size charges nothing). *)
 
 val set_duplicate : t -> float -> unit
 (** Byzantine fault: probability that a delivery arrives twice (the
@@ -57,14 +49,6 @@ val set_reorder : t -> burst:int -> window:float -> unit
     [burst = 0] disables (and flushes anything held).  Raises
     [Invalid_argument] on [burst = 1] or a non-positive window while
     enabled. *)
-
-val reorder_burst : t -> int
-
-val duplicated : t -> int
-(** Deliveries that were duplicated by the fault injector. *)
-
-val reordered : t -> int
-(** Messages released out of arrival order by reorder bursts. *)
 
 val delivered : t -> int
 val dropped : t -> int

@@ -41,11 +41,3 @@ let gauges t =
 let histograms t =
   Hashtbl.fold (fun _ h acc -> h :: acc) t.histograms []
   |> List.sort (fun a b -> String.compare (Histogram.name a) (Histogram.name b))
-
-(* Fixed precision (%d / %.6f) rather than %g: the rendering is meant
-   to be diffed in tests and archived next to exports, so two runs of
-   the same simulation must produce byte-identical text. *)
-let pp fmt t =
-  List.iter (fun (name, v) -> Format.fprintf fmt "%s = %d@." name v) (counters t);
-  List.iter (fun (name, v) -> Format.fprintf fmt "%s = %.6f@." name v) (gauges t);
-  List.iter (fun h -> Format.fprintf fmt "%a@." Histogram.pp_summary h) (histograms t)

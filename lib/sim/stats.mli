@@ -23,7 +23,3 @@ val gauges : t -> (string * float) list
 
 val histograms : t -> Histogram.t list
 (** Sorted by name. *)
-
-val pp : Format.formatter -> t -> unit
-(** Counters, then gauges, then histogram summaries; fixed-precision
-    numbers so the output is byte-stable across runs. *)

@@ -28,8 +28,6 @@ let name t = t.name
 
 let points t = Array.init t.count (fun i -> (t.times.(i), t.values.(i)))
 
-let last t = if t.count = 0 then None else Some (t.times.(t.count - 1), t.values.(t.count - 1))
-
 let max_value t =
   if t.count = 0 then None
   else begin

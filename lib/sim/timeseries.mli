@@ -12,7 +12,6 @@ val length : t -> int
 val name : t -> string
 val points : t -> (float * float) array
 
-val last : t -> (float * float) option
 val max_value : t -> float option
 
 val downsample : t -> buckets:int -> (float * float) array

@@ -39,6 +39,15 @@ let to_list t =
 
 let message r = Event.to_string r.event
 
+let digest records =
+  let ctx = Secrep_crypto.Sha1.init () in
+  List.iter
+    (fun r ->
+      Secrep_crypto.Sha1.feed ctx
+        (Printf.sprintf "%.9f|%s|%s\n" r.time r.source (Event.to_string r.event)))
+    records;
+  Secrep_crypto.Hex.encode (Secrep_crypto.Sha1.finalize ctx)
+
 let find t ~f = List.find_opt f (to_list t)
 let count_matching t ~f = List.length (List.filter f (to_list t))
 let count_kind t ~kind = count_matching t ~f:(fun r -> String.equal (Event.kind r.event) kind)

@@ -44,6 +44,12 @@ val to_list : t -> record list
 val message : record -> string
 (** Rendered event text (compat helper for string assertions). *)
 
+val digest : record list -> string
+(** Hex SHA-1 over one ["%.9f|source|event\n"] line per record (time,
+    source, rendered event); equal digests mean equal streams.  The
+    determinism tests, the fuzz harness and experiment E14 compare
+    event streams by it. *)
+
 val find : t -> f:(record -> bool) -> record option
 val count_matching : t -> f:(record -> bool) -> int
 

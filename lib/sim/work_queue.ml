@@ -19,6 +19,5 @@ let submit t ~cost k =
          t.completed <- t.completed + 1;
          k ()))
 
-let busy_until t = t.busy_until
 let completed t = t.completed
 let busy_seconds t = t.busy_seconds

@@ -13,9 +13,6 @@ val submit : t -> cost:float -> (unit -> unit) -> unit
 (** [submit q ~cost k] enqueues work taking [cost] seconds and calls
     [k] when it completes.  Negative cost raises [Invalid_argument]. *)
 
-val busy_until : t -> float
-(** Simulated time at which currently queued work drains. *)
-
 val completed : t -> int
 val busy_seconds : t -> float
 (** Total simulated compute charged so far. *)

@@ -363,51 +363,6 @@ let read_result r : Query_result.t =
   | 2 -> Agg (read_value r)
   | tag -> raise (Reader.Malformed (Printf.sprintf "bad result tag %d" tag))
 
-(* --- ops & entries ------------------------------------------------------- *)
-
-let write_op w (op : Oplog.op) =
-  match op with
-  | Put { key; doc } ->
-    Writer.u8 w 0;
-    Writer.bytes w key;
-    write_document w doc
-  | Delete { key } ->
-    Writer.u8 w 1;
-    Writer.bytes w key
-  | Set_field { key; field; value } ->
-    Writer.u8 w 2;
-    Writer.bytes w key;
-    Writer.bytes w field;
-    write_value w value
-  | Remove_field { key; field } ->
-    Writer.u8 w 3;
-    Writer.bytes w key;
-    Writer.bytes w field
-
-let read_op r : Oplog.op =
-  match Reader.u8 r with
-  | 0 ->
-    let key = Reader.bytes r in
-    Put { key; doc = read_document r }
-  | 1 -> Delete { key = Reader.bytes r }
-  | 2 ->
-    let key = Reader.bytes r in
-    let field = Reader.bytes r in
-    Set_field { key; field; value = read_value r }
-  | 3 ->
-    let key = Reader.bytes r in
-    let field = Reader.bytes r in
-    Remove_field { key; field }
-  | tag -> raise (Reader.Malformed (Printf.sprintf "bad op tag %d" tag))
-
-let write_entry w (e : Oplog.entry) =
-  Writer.varint w e.version;
-  write_op w e.op
-
-let read_entry r : Oplog.entry =
-  let version = Reader.varint r in
-  { version; op = read_op r }
-
 (* --- public API ----------------------------------------------------------- *)
 
 let via_writer f x =
@@ -423,17 +378,3 @@ let encode_query = via_writer write_query
 let decode_query s = Reader.run s read_query
 let encode_result = via_writer write_result
 let decode_result s = Reader.run s read_result
-let encode_op = via_writer write_op
-let decode_op s = Reader.run s read_op
-
-let encode_entries entries =
-  let w = Writer.create () in
-  Writer.varint w (List.length entries);
-  List.iter (write_entry w) entries;
-  Writer.contents w
-
-let decode_entries s =
-  Reader.run s (fun r ->
-      let n = Reader.varint r in
-      if n > 1_000_000 then raise (Reader.Malformed "too many entries");
-      List.init n (fun _ -> read_entry r))

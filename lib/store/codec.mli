@@ -21,12 +21,6 @@ val decode_query : Query.t decoder
 val encode_result : Query_result.t -> string
 val decode_result : Query_result.t decoder
 
-val encode_op : Oplog.op -> string
-val decode_op : Oplog.op decoder
-
-val encode_entries : Oplog.entry list -> string
-val decode_entries : Oplog.entry list decoder
-
 (** Low-level reader/writer, reused by {!Secrep_core}'s packet
     encodings. *)
 

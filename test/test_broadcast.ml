@@ -1,6 +1,5 @@
 (* Tests for the total-order broadcast substrate: agreement on delivery
-   order, reliability under loss, sequencer crash and view change,
-   and the deterministic elections built on the membership. *)
+   order, reliability under loss, sequencer crash and view change. *)
 
 open Secrep_broadcast
 module Sim = Secrep_sim.Sim
@@ -11,41 +10,6 @@ module Prng = Secrep_crypto.Prng
 let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
-
-(* ---------------- Election ---------------- *)
-
-let test_election_rules () =
-  check (Alcotest.option int_t) "sequencer = lowest" (Some 2)
-    (Election.sequencer ~alive:[ 5; 2; 9 ]);
-  check (Alcotest.option int_t) "auditor = highest" (Some 9)
-    (Election.auditor ~alive:[ 5; 2; 9 ]);
-  check (Alcotest.option int_t) "empty" None (Election.sequencer ~alive:[]);
-  check (Alcotest.option int_t) "next view skips suspect" (Some 5)
-    (Election.next_view_sequencer ~alive:[ 5; 2; 9 ] ~suspected:2);
-  check (Alcotest.option int_t) "suspect alone" None
-    (Election.next_view_sequencer ~alive:[ 2 ] ~suspected:2)
-
-let test_election_cascading_suspicion () =
-  (* re-election edge cases: the deterministic rule must keep producing
-     a unique next sequencer as candidates fall over one by one *)
-  check (Alcotest.option int_t) "first candidate after sequencer crash" (Some 1)
-    (Election.next_view_sequencer ~alive:[ 0; 1; 2 ] ~suspected:0);
-  check (Alcotest.option int_t) "candidate crashes too: next in line" (Some 2)
-    (Election.next_view_sequencer ~alive:[ 1; 2 ] ~suspected:1);
-  check (Alcotest.option int_t) "suspect already removed from membership" (Some 3)
-    (Election.next_view_sequencer ~alive:[ 3; 4 ] ~suspected:0);
-  check (Alcotest.option int_t) "last survivor elects itself" (Some 4)
-    (Election.next_view_sequencer ~alive:[ 4 ] ~suspected:3);
-  (* role separation: ordering and audit duties stay on different
-     hosts whenever two masters survive *)
-  List.iter
-    (fun alive ->
-      match (Election.sequencer ~alive, Election.auditor ~alive) with
-      | Some s, Some a when List.length alive >= 2 ->
-        check bool_t "sequencer and auditor distinct" true (s <> a)
-      | Some s, Some a -> check int_t "singleton holds both roles" s a
-      | _ -> Alcotest.fail "roles must exist for non-empty membership")
-    [ [ 0; 1; 2 ]; [ 7; 3 ]; [ 5 ]; [ 9; 1; 4; 6 ] ]
 
 (* ---------------- Harness ---------------- *)
 
@@ -72,6 +36,14 @@ let make_harness ?(members = [ 0; 1; 2 ]) ?(loss = 0.0) ?(seed = 77L) () =
   { sim; group; delivered }
 
 let deliveries h member = List.rev !(Hashtbl.find h.delivered member)
+
+(* The lowest member id starts as sequencer, whatever order the
+   members are given in, and every member agrees on it. *)
+let test_initial_sequencer () =
+  let h = make_harness ~members:[ 2; 0; 1 ] () in
+  List.iter
+    (fun m -> check int_t "lowest id starts as sequencer" 0 (Total_order.sequencer_of h.group m))
+    [ 0; 1; 2 ]
 
 let test_basic_delivery () =
   let h = make_harness () in
@@ -305,13 +277,9 @@ let prop_chaos =
 let () =
   Alcotest.run "secrep_broadcast"
     [
-      ( "election",
-        [
-          Alcotest.test_case "rules" `Quick test_election_rules;
-          Alcotest.test_case "cascading suspicion" `Quick test_election_cascading_suspicion;
-        ] );
       ( "total_order",
         [
+          Alcotest.test_case "initial sequencer" `Quick test_initial_sequencer;
           Alcotest.test_case "basic delivery" `Quick test_basic_delivery;
           Alcotest.test_case "total order agreement" `Quick test_total_order_agreement;
           Alcotest.test_case "reliability under loss" `Quick test_reliability_under_loss;

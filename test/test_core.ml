@@ -91,9 +91,11 @@ let test_directory () =
   let certs = Directory.lookup dir ~content_id:cid in
   check (Alcotest.list int_t) "sorted by master id" [ 0; 1; 2 ]
     (List.map (fun c -> c.Certificate.master_id) certs);
-  Directory.withdraw dir ~content_id:cid ~master_id:1;
-  check int_t "withdrawn" 2 (List.length (Directory.lookup dir ~content_id:cid));
-  check (Alcotest.list string_t) "content ids" [ cid ] (Directory.content_ids dir)
+  let again = mk 1 in
+  Directory.publish dir again;
+  let certs = Directory.lookup dir ~content_id:cid in
+  check int_t "re-publishing replaces" 3 (List.length certs);
+  check bool_t "the newer certificate is kept" true (List.nth certs 1 == again)
 
 (* ---------------- Keepalive ---------------- *)
 
@@ -333,13 +335,12 @@ let test_wire_keepalive_roundtrip () =
   let g = Prng.create ~seed:15L in
   let key = Sig_scheme.generate Sig_scheme.Hmac_sim g in
   let ka = Keepalive.make ~master_key:key ~content_id:"cid" ~master_id:3 ~version:17 ~now:42.5 in
-  (match Wire.decode_keepalive (Wire.encode_keepalive ka) with
+  match Wire.decode_keepalive (Wire.encode_keepalive ka) with
   | Ok ka' ->
     check bool_t "roundtrip equal" true (ka = ka');
     check bool_t "still verifies" true
       (Keepalive.verify ~master_public:(Sig_scheme.public_of key) ka')
-  | Error msg -> Alcotest.fail msg);
-  check bool_t "size positive" true (Wire.keepalive_size ka > 0)
+  | Error msg -> Alcotest.fail msg
 
 let test_wire_pledge_roundtrip () =
   let _, slave_key, _, _, _, pledge = pledge_fixture () in
@@ -638,6 +639,59 @@ let test_fault_behavior () =
     (decide always ~now:15.0 = Fault.Act Fault.Corrupt_result);
   let never = Fault.Malicious { probability = 0.0; mode = Fault.Omit_result; from_time = 0.0 } in
   check bool_t "p=0 never" true (decide never ~now:5.0 = Fault.Pass)
+
+let parsed_mode =
+  Alcotest.result
+    (Alcotest.testable (fun fmt m -> Format.pp_print_string fmt (Fault.mode_name m)) ( = ))
+    string_t
+
+(* The name a trace prints for a mode reads back as that mode, at every
+   value the CLI, the campaign and the fuzz generator use. *)
+let test_fault_mode_names_roundtrip () =
+  List.iter
+    (fun m -> check parsed_mode (Fault.mode_name m) (Ok m) (Fault.mode_of_string (Fault.mode_name m)))
+    ([
+       Fault.Corrupt_result;
+       Fault.Stale_state;
+       Fault.Bad_signature;
+       Fault.Omit_result;
+       Fault.Replay_pledge;
+       Fault.Collude "ring";
+       Fault.Collude "cabal";
+       Fault.Adaptive { threshold = 1.5 };
+       Fault.Adaptive { threshold = 1.0 };
+       Fault.Adaptive { threshold = 2.0 };
+       Fault.Equivocate { clique = [ 0; 2 ] };
+     ]
+    @ List.init 4 (fun c -> Fault.Equivocate { clique = [ c ] })
+    @ List.init 4 (fun i -> Fault.Flaky_omit { burst = i + 2 }))
+
+let test_fault_mode_short_forms () =
+  List.iter
+    (fun (s, m) -> check parsed_mode s (Ok m) (Fault.mode_of_string s))
+    [
+      ("corrupt", Fault.Corrupt_result);
+      ("stale", Fault.Stale_state);
+      ("omit", Fault.Omit_result);
+      ("replay", Fault.Replay_pledge);
+    ]
+
+let test_fault_mode_malformed () =
+  List.iter
+    (fun (s, msg) -> check parsed_mode s (Error msg) (Fault.mode_of_string s))
+    [
+      ("bogus", {|unknown lie mode "bogus"|});
+      ("", {|unknown lie mode ""|});
+      ("bogus:1", {|unknown lie mode "bogus:1"|});
+      ("collude:", {|unknown lie mode "collude:"|});
+      ("equivocate:", {|unknown lie mode "equivocate:"|});
+      ("equivocate:a", {|equivocate clique "a" is not a comma list of client ids|});
+      ("equivocate:0,", {|equivocate clique "0," is not a comma list of client ids|});
+      ("adaptive:0", {|adaptive threshold "0" is not a positive number|});
+      ("adaptive:x", {|adaptive threshold "x" is not a positive number|});
+      ("flaky-omit:0", {|flaky-omit burst "0" is not a positive int|});
+      ("flaky-omit:x", {|flaky-omit burst "x" is not a positive int|});
+    ]
 
 (* ---------------- Corrective log ---------------- *)
 
@@ -1766,7 +1820,13 @@ let () =
           Alcotest.test_case "window expiry" `Quick test_greedy_window_expiry;
         ] );
       ("security_level", [ Alcotest.test_case "ladder" `Quick test_security_levels ]);
-      ("fault", [ Alcotest.test_case "behavior" `Quick test_fault_behavior ]);
+      ( "fault",
+        [
+          Alcotest.test_case "behavior" `Quick test_fault_behavior;
+          Alcotest.test_case "mode names round-trip" `Quick test_fault_mode_names_roundtrip;
+          Alcotest.test_case "mode short forms" `Quick test_fault_mode_short_forms;
+          Alcotest.test_case "malformed modes" `Quick test_fault_mode_malformed;
+        ] );
       ("corrective", [ Alcotest.test_case "log" `Quick test_corrective_log ]);
       ( "end_to_end",
         [

@@ -14,13 +14,10 @@ module Config = Secrep_core.Config
 module Fault = Secrep_core.Fault
 module Corrective = Secrep_core.Corrective
 module Auditor = Secrep_core.Auditor
-module Directory = Secrep_core.Directory
 module Sim = Secrep_sim.Sim
 module Trace = Secrep_sim.Trace
 module Event = Secrep_sim.Event
 module Export = Secrep_sim.Export
-module Sha1 = Secrep_crypto.Sha1
-module Hex = Secrep_crypto.Hex
 module Prng = Secrep_crypto.Prng
 module Catalog = Secrep_workload.Catalog
 module Query = Secrep_store.Query
@@ -129,15 +126,7 @@ let base_config =
       double_check_probability = 0.05;
     }
 
-let digest records =
-  let ctx = Sha1.init () in
-  List.iter
-    (fun (r : Trace.record) ->
-      Sha1.feed ctx
-        (Printf.sprintf "%.9f|%s|%s\n" r.Trace.time r.Trace.source
-           (Event.to_string r.Trace.event)))
-    records;
-  Hex.encode (Sha1.finalize ctx)
+let digest = Trace.digest
 
 let capture sys =
   let rev = ref [] in
@@ -244,8 +233,10 @@ let test_differential_k4_honest () =
       check (Alcotest.list int_t) "honest run convicts nobody" []
         (Corrective.excluded (System.corrective sys)))
     refs;
-  check int_t "four contents in the shared directory" 4
-    (List.length (Directory.content_ids (Deployment.directory d)))
+  check int_t "four distinct contents" 4
+    (List.length
+       (List.sort_uniq compare
+          (List.init 4 (fun i -> System.content_id (Deployment.system d i)))))
 
 let test_differential_k2_liar () =
   (* one Byzantine replica in shard 0; shard 1 stays honest.  With a
@@ -274,31 +265,6 @@ let test_deployment_deterministic () =
   let a = mk () and b = mk () in
   check int_t "same stream length" (List.length a) (List.length b);
   List.iter2 (fun la lb -> check string_t "merged tagged streams identical" la lb) a b
-
-(* ---------------- routing and the shared directory ---------------- *)
-
-let test_routing_by_content_key () =
-  let d =
-    Deployment.create ~n_shards:3 ~config:base_config ~net:System.lan_net ~seed:9L
-      ~items_per_shard:3 ()
-  in
-  for i = 0 to 2 do
-    let content_id = Deployment.content_id d i in
-    check bool_t "shard resolvable from content id" true
-      (Deployment.shard_of_content d ~content_id = Some i);
-    check bool_t "shared directory serves every shard's certificates" true
-      (Directory.lookup (Deployment.directory d) ~content_id <> []);
-    let q = Query.point_read (Deployment.keys d i).(0) in
-    match Deployment.read_content d ~content_id ~client:0 q ~on_done:(fun _ -> ()) with
-    | Ok shard -> check int_t "read routed to the owning shard" i shard
-    | Error msg -> Alcotest.fail msg
-  done;
-  match
-    Deployment.read_content d ~content_id:"no-such-content" ~client:0
-      (Query.point_read "k") ~on_done:(fun _ -> ())
-  with
-  | Ok _ -> Alcotest.fail "unknown content id must not route"
-  | Error _ -> ()
 
 let test_tagged_lines () =
   let d =
@@ -636,7 +602,6 @@ let () =
           Alcotest.test_case "differential K=2 with liar" `Quick test_differential_k2_liar;
           Alcotest.test_case "deterministic merged stream" `Quick
             test_deployment_deterministic;
-          Alcotest.test_case "routing by content key" `Quick test_routing_by_content_key;
           Alcotest.test_case "tagged JSONL" `Quick test_tagged_lines;
           Alcotest.test_case "crash re-homing" `Quick test_crash_rehoming;
           Alcotest.test_case "exclusion re-homing" `Quick test_exclusion_rehoming;

@@ -175,9 +175,6 @@ let test_latency_validate () =
   check bool_t "negative constant" true (bad (Latency.Constant (-1.0)));
   check bool_t "lo > hi" true (bad (Latency.Uniform { lo = 2.0; hi = 1.0 }));
   check bool_t "zero mean" true (bad (Latency.Exponential { mean = 0.0; floor = 0.0 }));
-  check bool_t "pareto shape <= 1" true
-    (bad (Latency.Pareto { scale = 1.0; shape = 1.0; cap = 2.0 }));
-  check bool_t "empty empirical" true (bad (Latency.Empirical [||]));
   Latency.validate (Latency.Constant 0.1);
   Latency.validate (Latency.Uniform { lo = 0.0; hi = 1.0 })
 
@@ -188,8 +185,6 @@ let test_latency_samples_in_range () =
       Latency.Constant 0.05;
       Latency.Uniform { lo = 0.01; hi = 0.02 };
       Latency.Exponential { mean = 0.01; floor = 0.005 };
-      Latency.Pareto { scale = 0.01; shape = 2.0; cap = 0.5 };
-      Latency.Empirical [| 0.001; 0.002; 0.003 |];
     ]
   in
   List.iter
@@ -200,25 +195,22 @@ let test_latency_samples_in_range () =
         match m with
         | Latency.Uniform { lo; hi } -> check bool_t "uniform range" true (s >= lo && s <= hi)
         | Latency.Exponential { floor; _ } -> check bool_t "above floor" true (s >= floor)
-        | Latency.Pareto { scale; cap; _ } ->
-          check bool_t "pareto range" true (s >= scale && s <= cap)
         | Latency.Constant c -> check bool_t "constant" true (s = c)
-        | Latency.Empirical arr ->
-          check bool_t "from samples" true (Array.exists (fun x -> x = s) arr)
       done)
     models
 
 let test_latency_mean_estimates () =
   let g = Prng.create ~seed:22L in
-  let m = Latency.Exponential { mean = 0.01; floor = 0.005 } in
+  let mean = 0.01 and floor = 0.005 in
+  let m = Latency.Exponential { mean; floor } in
   let n = 20000 in
   let sum = ref 0.0 in
   for _ = 1 to n do
     sum := !sum +. Latency.sample m g
   done;
   let sample_mean = !sum /. float_of_int n in
-  check bool_t "sample mean near analytic" true
-    (Float.abs (sample_mean -. Latency.mean m) < 0.001)
+  check bool_t "sample mean near floor + mean" true
+    (Float.abs (sample_mean -. (floor +. mean)) < 0.001)
 
 (* ---------------- Link ---------------- *)
 
@@ -283,8 +275,8 @@ let test_link_failstop_semantics () =
   check int_t "delivered counts the survivor" 1 (Link.delivered link)
 
 (* The chaos mutators compose with the rest of the link model: loss
-   applies to the new rate immediately, a latency swap only affects
-   messages sent after it, and bandwidth charges stack on top. *)
+   applies to the new rate immediately, and a latency swap only affects
+   messages sent after it. *)
 let test_link_mutators_compose () =
   let sim = Sim.create () in
   let g = Prng.create ~seed:29L in
@@ -302,12 +294,11 @@ let test_link_mutators_compose () =
   | exception Invalid_argument _ -> ());
   Link.set_loss link 0.0;
   Link.set_latency link (Latency.Constant 0.1);
-  Link.set_bandwidth link ~bytes_per_sec:1000.0;
   let arrival = ref 0.0 in
-  Link.send_sized link ~bytes_len:100 (fun () -> arrival := Sim.now sim);
+  Link.send link (fun () -> arrival := Sim.now sim);
   let before = Sim.now sim in
   Sim.run sim;
-  check float_t "new latency + transfer charge" (before +. 0.1 +. 0.1) !arrival
+  check float_t "new latency" (before +. 0.1) !arrival
 
 let test_link_loss () =
   let sim = Sim.create () in
@@ -319,16 +310,6 @@ let test_link_loss () =
   done;
   Sim.run sim;
   check bool_t "roughly half lost" true (!got > 400 && !got < 600)
-
-let test_link_bandwidth () =
-  let sim = Sim.create () in
-  let g = Prng.create ~seed:27L in
-  let link = Link.create sim ~rng:g ~latency:(Latency.Constant 0.01) () in
-  Link.set_bandwidth link ~bytes_per_sec:1000.0;
-  let arrival = ref 0.0 in
-  Link.send_sized link ~bytes_len:100 (fun () -> arrival := Sim.now sim);
-  Sim.run sim;
-  check float_t "latency + transfer" 0.11 !arrival
 
 (* ---------------- Process ---------------- *)
 
@@ -435,14 +416,12 @@ let test_histogram_empty_errors () =
   check bool_t "mean raises" true (raises (fun () -> Histogram.mean h));
   check bool_t "percentile raises" true (raises (fun () -> Histogram.percentile h 50.0))
 
-let test_histogram_merge_stddev () =
-  let a = Histogram.create ~name:"a" () and b = Histogram.create ~name:"b" () in
-  List.iter (Histogram.add a) [ 1.0; 2.0 ];
-  List.iter (Histogram.add b) [ 3.0; 4.0 ];
-  let m = Histogram.merge a b in
-  check int_t "merged count" 4 (Histogram.count m);
-  check float_t "merged mean" 2.5 (Histogram.mean m);
-  check bool_t "stddev" true (Float.abs (Histogram.stddev m -. sqrt 1.25) < 1e-9)
+let test_histogram_stddev () =
+  let h = Histogram.create () in
+  List.iter (Histogram.add h) [ 1.0; 2.0; 3.0; 4.0 ];
+  check int_t "count" 4 (Histogram.count h);
+  check float_t "mean" 2.5 (Histogram.mean h);
+  check bool_t "stddev" true (Float.abs (Histogram.stddev h -. sqrt 1.25) < 1e-9)
 
 let prop_histogram_percentile_bounds =
   qtest "histogram: percentiles lie within [min,max]"
@@ -482,8 +461,8 @@ let test_timeseries_basic () =
   Timeseries.record ts ~time:1.0 3.0;
   Timeseries.record ts ~time:2.0 2.0;
   check int_t "length" 3 (Timeseries.length ts);
-  check (Alcotest.option (Alcotest.pair float_t float_t)) "last" (Some (2.0, 2.0))
-    (Timeseries.last ts);
+  check (Alcotest.array (Alcotest.pair float_t float_t)) "points"
+    [| (0.0, 1.0); (1.0, 3.0); (2.0, 2.0) |] (Timeseries.points ts);
   check (Alcotest.option float_t) "max" (Some 3.0) (Timeseries.max_value ts);
   Alcotest.check_raises "time goes backwards"
     (Invalid_argument "Timeseries.record: time went backwards") (fun () ->
@@ -544,7 +523,41 @@ let test_trace_typed_queries () =
   check (Alcotest.list Alcotest.string) "distinct kinds sorted"
     [ "pledge_signed"; "read_issued" ] (Trace.kinds tr)
 
+(* Pins the stream digest: SHA-1 over one "%.9f|source|event\n" line
+   per record, in lower-case hex. *)
+let test_trace_digest_known_answer () =
+  let records =
+    [
+      {
+        Trace.time = 1.0;
+        source = "client-0";
+        event = Event.Read_issued { client = 0; request = 1; mode = "single" };
+      };
+      {
+        Trace.time = 2.5;
+        source = "slave-1";
+        event = Event.Pledge_signed { slave = 1; request = 1; version = 3; lied = true };
+      };
+    ]
+  in
+  check Alcotest.string "two records" "f40e3440cfc22a2c01afe874784296c21bf9a1bf"
+    (Trace.digest records);
+  check Alcotest.string "empty stream" "da39a3ee5e6b4b0d3255bfef95601890afd80709"
+    (Trace.digest [])
+
 (* ---------------- Event ---------------- *)
+
+let test_event_accused () =
+  let accused = Alcotest.(option int) in
+  let dc outcome = Event.Double_check { client = 3; request = 3_000_001; slave = 7; outcome } in
+  check accused "audit conviction" (Some 7)
+    (Event.accused (Event.Audit_conviction { slave = 7; version = 12 }));
+  check accused "exclusion" (Some 7)
+    (Event.accused (Event.Slave_excluded { slave = 7; immediate = true }));
+  check accused "double-check mismatch" (Some 7) (Event.accused (dc Event.Mismatch));
+  check accused "quarantine is probation" None
+    (Event.accused (Event.Slave_quarantined { slave = 7; score = 3.25; until = 42.5 }));
+  check accused "passed double-check" None (Event.accused (dc Event.Passed))
 
 let sample_events =
   [
@@ -854,8 +867,7 @@ let test_rolling_matches_reference =
 let test_timeseries_empty_edges () =
   let ts = Timeseries.create () in
   check int_t "empty length" 0 (Timeseries.length ts);
-  check (Alcotest.option (Alcotest.pair float_t float_t)) "empty last" None
-    (Timeseries.last ts);
+  check int_t "no points" 0 (Array.length (Timeseries.points ts));
   check (Alcotest.option float_t) "empty max" None (Timeseries.max_value ts);
   check int_t "empty downsample" 0 (Array.length (Timeseries.downsample ts ~buckets:5))
 
@@ -1098,7 +1110,6 @@ let () =
           Alcotest.test_case "in-flight dropped on down" `Quick
             test_link_inflight_dropped_on_down;
           Alcotest.test_case "loss rate" `Quick test_link_loss;
-          Alcotest.test_case "bandwidth charge" `Quick test_link_bandwidth;
           Alcotest.test_case "fail-stop semantics pinned" `Quick test_link_failstop_semantics;
           Alcotest.test_case "chaos mutators compose" `Quick test_link_mutators_compose;
         ] );
@@ -1119,7 +1130,7 @@ let () =
         [
           Alcotest.test_case "percentiles" `Quick test_histogram_percentiles;
           Alcotest.test_case "empty errors" `Quick test_histogram_empty_errors;
-          Alcotest.test_case "merge and stddev" `Quick test_histogram_merge_stddev;
+          Alcotest.test_case "stddev" `Quick test_histogram_stddev;
           prop_histogram_percentile_bounds;
         ] );
       ("stats", [ Alcotest.test_case "counters/gauges/histograms" `Quick test_stats_counters ]);
@@ -1145,8 +1156,13 @@ let () =
           Alcotest.test_case "ring semantics" `Quick test_trace_ring;
           Alcotest.test_case "wraparound accounting" `Quick test_trace_wraparound_accounting;
           Alcotest.test_case "typed queries" `Quick test_trace_typed_queries;
+          Alcotest.test_case "digest known answer" `Quick test_trace_digest_known_answer;
         ] );
-      ("event", [ Alcotest.test_case "fields round-trip" `Quick test_event_fields_roundtrip ]);
+      ( "event",
+        [
+          Alcotest.test_case "fields round-trip" `Quick test_event_fields_roundtrip;
+          Alcotest.test_case "accused" `Quick test_event_accused;
+        ] );
       ( "span",
         [
           Alcotest.test_case "nesting and durations" `Quick test_span_nesting_and_durations;

@@ -917,7 +917,7 @@ let prop_codec_never_raises_on_garbage =
     (fun s ->
       let safe f = match f s with Ok _ | Error _ -> true | exception _ -> false in
       safe Codec.decode_value && safe Codec.decode_document && safe Codec.decode_query
-      && safe Codec.decode_result && safe Codec.decode_entries)
+      && safe Codec.decode_result)
 
 let prop_codec_truncation_fails_cleanly =
   qtest ~count:200 "codec: truncated encodings yield Error" gen_query (fun q ->
@@ -932,21 +932,6 @@ let prop_codec_truncation_fails_cleanly =
                 byte was redundant — never the case for our writer. *)
              Query.equal q q'
          end)
-
-let test_codec_entries_roundtrip () =
-  let entries =
-    [
-      { Oplog.version = 1; op = Oplog.Put { key = "a"; doc = doc [ ("x", Value.Int 1) ] } };
-      { Oplog.version = 2; op = Oplog.Delete { key = "a" } };
-      { Oplog.version = 3; op = Oplog.Set_field { key = "b"; field = "f"; value = Value.Null } };
-      { Oplog.version = 4; op = Oplog.Remove_field { key = "b"; field = "f" } };
-    ]
-  in
-  match Codec.decode_entries (Codec.encode_entries entries) with
-  | Ok back ->
-    check int_t "length" 4 (List.length back);
-    check bool_t "identical" true (entries = back)
-  | Error msg -> Alcotest.fail msg
 
 let test_codec_negative_int () =
   match Codec.decode_value (Codec.encode_value (Value.Int (-42))) with
@@ -1135,9 +1120,9 @@ let test_codec_roundtrip_adversarial_strings () =
   let keys = [ "\x00"; "\x00\x01\x02"; String.make 300 '\xff'; "\127\128"; "" ] in
   List.iter
     (fun key ->
-      let op = Oplog.Set_field { key; field = key; value = Value.String key } in
-      match Codec.decode_op (Codec.encode_op op) with
-      | Ok op' -> check bool_t "op round-trips" true (op = op')
+      let d = doc [ (key, Value.String key) ] in
+      match Codec.decode_document (Codec.encode_document d) with
+      | Ok d' -> check bool_t "document round-trips" true (Document.equal d d')
       | Error e -> Alcotest.failf "decode failed: %s" e)
     keys
 
@@ -1273,7 +1258,6 @@ let () =
           prop_codec_result_roundtrip;
           prop_codec_never_raises_on_garbage;
           prop_codec_truncation_fails_cleanly;
-          Alcotest.test_case "entries roundtrip" `Quick test_codec_entries_roundtrip;
           Alcotest.test_case "negative int" `Quick test_codec_negative_int;
           Alcotest.test_case "adversarial values" `Quick test_codec_roundtrip_adversarial_values;
           Alcotest.test_case "adversarial strings" `Quick
