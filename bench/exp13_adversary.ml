@@ -120,7 +120,8 @@ let run_case ~mode:(name, fault_mode) ~adaptive ~audit_fraction ~lie_prob ~dc_p
   List.iter
     (fun (r : Trace.record) ->
       match r.Trace.event with
-      (* Accusations are proof-backed only: a double-check mismatch the
+      (* Accusations are proof-backed only, unlike [Event.accused],
+         which also counts double-check mismatches: a mismatch the
          master rules inconclusive (§3.5 version skew) excludes nobody,
          so it does not count as detection — it is exactly the weak
          signal the adaptive auditor feeds on. *)

@@ -367,7 +367,7 @@ let create sim ~rng ~members ~latency ?(loss = 0.0) ?trace:trace_buf ~deliver ()
   if List.length sorted <> List.length members then
     invalid_arg "Total_order.create: duplicate member ids";
   List.iter (fun id -> if id < 0 then invalid_arg "Total_order.create: negative id") sorted;
-  let initial_sequencer = List.hd sorted (* the lowest id *) in
+  let initial_sequencer = List.hd sorted in
   let table = Hashtbl.create 8 in
   List.iter
     (fun id ->

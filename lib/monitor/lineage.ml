@@ -49,7 +49,7 @@ let accuse t ~time ~slave = t.accusations <- (time, slave) :: t.accusations
 let observe t (r : Trace.record) =
   if not t.finalized then begin
     let time = r.time in
-    Option.iter (fun slave -> accuse t ~time ~slave) (Event.accused r.event);
+    (match Event.accused r.event with Some slave -> accuse t ~time ~slave | None -> ());
     match r.event with
     | Event.Read_issued { client; request; mode } when request >= 0 ->
       if not (Hashtbl.mem t.requests request) then begin

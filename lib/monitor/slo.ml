@@ -193,8 +193,6 @@ let max_overdue tbl ~now ~deadline_of =
 let drop_through tbl version =
   Hashtbl.filter_map_inplace (fun v commit -> if v <= version then None else Some commit) tbl
 
-(* An accusation clears the slave's pending lie and recovery; one
-   without a recorded lie is a false accusation. *)
 let accuse t slave =
   if not (Hashtbl.mem t.lied_ever slave) then
     raise_alert t "false-accusation" ~value:1.0 ~threshold:0.0
@@ -286,7 +284,7 @@ let handle t event =
       ~detail:
         (Printf.sprintf "slave %d on audit probation until %.3f (suspicion %.2f)" slave
            until score)
-  | _ -> Option.iter (accuse t) (Event.accused event)
+  | _ -> ( match Event.accused event with Some slave -> accuse t slave | None -> ())
 
 (* State_update_applied above only tracks the global max; per-slave
    convergence for the recovery rule is resolved here. *)

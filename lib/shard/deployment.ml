@@ -280,8 +280,9 @@ let on_event t tap = t.taps <- tap :: t.taps
 
    One shared bounded scheduler advances every shard in [slice]-sized
    time windows: no shard can run ahead of its siblings by more than a
-   slice, so host-level chaos observes a consistent global clock, while each shard's internal event order is
-   exactly what a standalone run would produce.
+   slice, so host-level chaos observes a consistent global clock, while
+   each shard's internal event order is exactly what a standalone run
+   would produce.
 
    Both modes run the same code per shard and flush the same outboxes
    at every slice barrier; the only difference is which domain executes

@@ -649,7 +649,9 @@ let parsed_mode =
    value the CLI, the campaign and the fuzz generator use. *)
 let test_fault_mode_names_roundtrip () =
   List.iter
-    (fun m -> check parsed_mode (Fault.mode_name m) (Ok m) (Fault.mode_of_string (Fault.mode_name m)))
+    (fun m ->
+      let name = Fault.mode_name m in
+      check parsed_mode name (Ok m) (Fault.mode_of_string name))
     ([
        Fault.Corrupt_result;
        Fault.Stale_state;
